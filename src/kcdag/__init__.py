@@ -11,7 +11,7 @@ from .cnf import CNF, Clause, Literal, format_dimacs, parse_dimacs
 from .compiler import clause_diagram, compile_cnf, compile_via
 from .convert import convert, convert_down
 from .decompose import decompose, extract_leaf, extract_part, extract_share, finest
-from .engine import BACKEND, FALSE, TRUE, DiagramStore, available_backends
+from .engine import FALSE, TRUE, DiagramStore
 from .errors import (
     BoundViolationError,
     DecompositionError,
@@ -45,7 +45,6 @@ from .validate import ValidationReport, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BoundViolationError",
     "Bound",
     "CNF",
@@ -63,7 +62,6 @@ __all__ = [
     "TRUE",
     "ValidationReport",
     "VariableOrder",
-    "available_backends",
     "chain_family",
     "clause_diagram",
     "compile_cnf",

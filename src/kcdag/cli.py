@@ -20,10 +20,9 @@ from .decompose import decompose as do_decompose
 from .validate import DEFAULT_SEMANTIC_LIMIT, validate as do_validate
 from .cnf import parse_dimacs, format_dimacs
 from .compiler import compile_cnf
-from .engine import BACKEND, DiagramStore, available_backends, backend_module
 from .errors import KcdagError
 from .families import chain_family, random_cnf
-from .ordering import min_fill_order, natural_order
+from .ordering import natural_order
 from .store import format_bound, parse_bound
 
 
@@ -229,7 +228,6 @@ def _cmd_stats(args) -> int:
         "vars": len(store.vars_of(root)),
         "num_vars": len(store.order.vars),
         "bound": format_bound(bound),
-        "backend": BACKEND,
     }))
     return 0
 
@@ -250,11 +248,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _bench_instances(args):
-    for k in range(args.instances):
-        yield random_cnf(args.vars, args.clauses, seed=args.seed + k)
-
-
 def _cmd_bench(args) -> int:
     if args.mode == "size-sweep":
         bounds = [parse_bound(b) for b in args.bounds.split(",")]
@@ -268,48 +261,23 @@ def _cmd_bench(args) -> int:
                 print(f"chain-{n},{format_bound(b)},"
                       f"{store.vertex_count(root)},{store.size(root)},{ms:.2f}")
         return 0
-    if args.mode == "conjoin-compare":
-        # the bound-1-vs-bound-0 bottom-up compile experiment, per instance
-        print("instance,clauses,ms_bound0,ms_bound1")
-        t0s, t1s = [], []
-        for k, cnf in enumerate(_bench_instances(args)):
-            row = []
-            for b in (0, 1):
-                t0 = time.perf_counter()
-                compile_cnf(cnf, b, order=natural_order(args.vars),
-                            schedule=args.schedule)
-                row.append((time.perf_counter() - t0) * 1000.0)
-            t0s.append(row[0])
-            t1s.append(row[1])
-            print(f"{k},{len(cnf.clauses)},{row[0]:.3f},{row[1]:.3f}")
-        print(f"median bound 0: {statistics.median(t0s):.3f} ms; "
-              f"median bound 1: {statistics.median(t1s):.3f} ms",
-              file=sys.stderr)
-        return 0
-    # backend-compare
-    bound = parse_bound(args.bound)
-    names = available_backends()
-    print(f"{'backend':>8} {'median ms':>10} {'mean ms':>10} {'vertices':>9}")
-    reference = None
-    for name in names:
-        mod = backend_module(name)
-        times = []
-        verts = None
-        for cnf in _bench_instances(args):
-            order = min_fill_order(cnf)
-            store = mod.DiagramStore(order)
+    # conjoin-compare: the bound-1-vs-bound-0 bottom-up compile experiment
+    print("instance,clauses,ms_bound0,ms_bound1")
+    t0s, t1s = [], []
+    for k in range(args.instances):
+        cnf = random_cnf(args.vars, args.clauses, seed=args.seed + k)
+        row = []
+        for b in (0, 1):
             t0 = time.perf_counter()
-            _, root = compile_cnf(cnf, bound, store=store)
-            times.append((time.perf_counter() - t0) * 1000.0)
-            verts = store.vertex_count(root)
-        if reference is None:
-            reference = verts
-        elif verts != reference:
-            raise KcdagError("backends disagree on diagram size")
-        print(f"{name:>8} {statistics.median(times):>10.2f} "
-              f"{statistics.mean(times):>10.2f} {verts:>9}")
-    if len(names) < 2:
-        print("(accelerated backend not built; only pure measured)", file=sys.stderr)
+            compile_cnf(cnf, b, order=natural_order(args.vars),
+                        schedule=args.schedule)
+            row.append((time.perf_counter() - t0) * 1000.0)
+        t0s.append(row[0])
+        t1s.append(row[1])
+        print(f"{k},{len(cnf.clauses)},{row[0]:.3f},{row[1]:.3f}")
+    print(f"median bound 0: {statistics.median(t0s):.3f} ms; "
+          f"median bound 1: {statistics.median(t1s):.3f} ms",
+          file=sys.stderr)
     return 0
 
 
@@ -439,14 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["balanced", "sequential", "ordered"],
                    default="ordered")
     b.set_defaults(fn=_cmd_bench)
-    b = bsub.add_parser("backend-compare",
-                        help="pure vs compiled engine on one workload")
-    b.add_argument("--vars", type=int, default=20)
-    b.add_argument("--clauses", type=int, default=40)
-    b.add_argument("--instances", type=int, default=10)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--bound", default="1")
-    b.set_defaults(fn=_cmd_bench)
     return p
 
 
@@ -457,6 +417,13 @@ def run(argv=None) -> int:
         return args.fn(args)
     except (KcdagError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: diagram too deep for the recursive engine "
+              "(Python recursion limit reached)", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

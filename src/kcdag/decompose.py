@@ -61,8 +61,8 @@ def extract_leaf(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) 
     if TRUE in (lo, hi):
         raise ValueError("a single-variable vertex has nothing to extract")
     if lo == FALSE:
-        return store._extract_leaf(var, True, hi, i)
-    return store._extract_leaf(var, False, lo, i)
+        return store._attach(store.literal(var, True), hi, i)
+    return store._attach(store.literal(var, False), lo, i)
 
 
 def extract_part(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) -> int:

@@ -1,8 +1,4 @@
-"""Exception types shared by every kcdag module.
-
-Kept in a module that is never compiled so that the pure and accelerated
-engine backends raise identical classes.
-"""
+"""Exception types shared by every kcdag module."""
 
 
 class KcdagError(Exception):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cnf import CNF
 
@@ -85,7 +85,3 @@ def min_fill_order(cnf: CNF) -> VariableOrder:
     used = set(order)
     tail = [v for v in range(1, cnf.num_vars + 1) if v not in used]
     return VariableOrder(order + tail)
-
-
-def order_from_list(variables: Iterable[int]) -> VariableOrder:
-    return VariableOrder(list(variables))

@@ -1,7 +1,8 @@
-"""Public store interface: vertex construction, bounds, measurement.
+"""Bound handling and convenience constructors around the engine.
 
-The heavy lifting lives in the engine backend (see kcdag.engine); this module
-adds bound handling and convenience constructors.
+Vertex construction and every diagram operation live on
+kcdag.engine.DiagramStore; this module parses and formats bounds and makes
+fresh stores.
 """
 
 from __future__ import annotations
@@ -9,17 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Union
 
-from .engine import (  # noqa: F401  (re-exported API)
-    BACKEND,
-    FALSE,
-    TRUE,
-    KIND_CONJ,
-    KIND_DECISION,
-    KIND_FALSE,
-    KIND_TRUE,
-    DiagramStore,
-    available_backends,
-)
+from .engine import DiagramStore
 from .ordering import VariableOrder
 
 INF = math.inf

@@ -6,7 +6,7 @@ from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import clause_diagram, compile_cnf, compile_via
 from kcdag.families import chain_family, random_cnf
-from kcdag.ordering import natural_order, order_from_list
+from kcdag.ordering import VariableOrder, natural_order
 from kcdag.store import INF, new_store
 
 from conftest import cnf_table, diagram_table, var_tables
@@ -24,7 +24,7 @@ def test_clause_diagram_unit_and_binary():
 
 
 def test_clause_diagram_respects_store_rank():
-    store = new_store(order_from_list([3, 1, 2]))
+    store = new_store(VariableOrder([3, 1, 2]))
     d = clause_diagram(store, [1, 3])
     assert store.var_of(d) == 3
     assert store.lo(d) == store.literal(1)
@@ -62,7 +62,7 @@ def test_unknown_schedule_rejected():
 def test_order_conflict_rejected():
     store = new_store(natural_order(3))
     with pytest.raises(ValueError):
-        compile_cnf(CNF(3), 0, order=order_from_list([3, 2, 1]), store=store)
+        compile_cnf(CNF(3), 0, order=VariableOrder([3, 2, 1]), store=store)
     with pytest.raises(ValueError):
         compile_cnf(random_cnf(5, 5, seed=1), 0, store=store)
 

@@ -82,6 +82,12 @@ def test_condition_matches_projection(vt8):
         assert store.vars_of(res).isdisjoint(asg)
         assert diagram_table(store, res, remaining) == \
             project_table(tu, SCOPE, asg)
+        # one variable at a time, in either order, lands on the same vertex
+        for seq in (picked, picked[::-1]):
+            w = u
+            for v in seq:
+                w = condition(store, w, {v: asg[v]}, bound)
+            assert w == res
 
 
 def test_forget_matches_existential_projection(vt8):

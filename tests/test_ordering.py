@@ -15,7 +15,6 @@ from kcdag.ordering import (
     VariableOrder,
     min_fill_order,
     natural_order,
-    order_from_list,
 )
 
 
@@ -31,7 +30,6 @@ def test_variable_order_basics():
     assert len(o) == 3
     assert o.rank == {3: 0, 1: 1, 2: 2}
     assert 1 in o and 4 not in o
-    assert o == order_from_list([3, 1, 2])
     assert o != natural_order(3)
     assert "3, 1, 2" in repr(o)
     with pytest.raises(ValueError):

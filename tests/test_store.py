@@ -4,9 +4,11 @@ import pytest
 
 from kcdag import FALSE, TRUE
 from kcdag.engine import KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE
+from kcdag.compiler import compile_cnf
 from kcdag.errors import DecompositionError, OrderViolationError
+from kcdag.families import random_cnf
 from kcdag.ordering import natural_order
-from kcdag.store import new_store
+from kcdag.store import INF, new_store
 
 
 @pytest.fixture
@@ -128,3 +130,17 @@ def test_clear_memo_keeps_vertices(store):
     u = store.conjoin(a, b, 1)
     store.clear_memo()
     assert store.conjoin(a, b, 1) == u
+
+    def every_op(bound):
+        u = compile_cnf(random_cnf(6, 10, seed=3), bound, store=store)[1]
+        v = compile_cnf(random_cnf(6, 9, seed=4), bound, store=store)[1]
+        down = store.convert_down(u, 0)
+        out = [store.conjoin(u, v, bound), store.disjoin(u, v, bound),
+               store.negate(u, bound), store.condition(u, {2: True, 5: False}, bound),
+               down, store.decompose(down, bound)]
+        return out, [store.model_count(w) for w in out]
+
+    for bound in (1, INF):
+        before = every_op(bound)
+        store.clear_memo()
+        assert every_op(bound) == before
