@@ -6,6 +6,11 @@ preinterned as ids 0 and 1 in every store.  A decision vertex <x, lo, hi>
 branches on x (lo taken when x is false); a conjunction vertex is the AND of
 two or more pairwise variable-disjoint decision vertices.
 
+Each vertex's variable set is kept as one int, a bitmask over ranks: bit r is
+set when order.vars[r] occurs in the vertex.  Size tests are popcounts,
+disjointness is an AND, union an OR.  vars_of converts a mask back to the
+set of variable names at the API boundary.
+
 The bound i of a diagram caps the small factors a conjunction vertex may list
 separately: in canonical form every conjunction vertex's children are exactly
 the finest factors of its function with at most i variables plus at most one
@@ -64,7 +69,7 @@ class DiagramStore:
         self._lo = [0, 0]
         self._hi = [0, 0]
         self._kids = [None, None]
-        self._vs = [frozenset(), frozenset()]
+        self._vs = [0, 0]
         self._minrank = [self._leaf_rank, self._leaf_rank]
         self._unique = {}
         self._uconj = {}
@@ -98,7 +103,7 @@ class DiagramStore:
         self._lo.append(lo)
         self._hi.append(hi)
         self._kids.append(None)
-        self._vs.append(self._vs[lo] | self._vs[hi] | {var})
+        self._vs.append(self._vs[lo] | self._vs[hi] | (1 << r))
         self._minrank.append(r)
         self._unique[key] = u
         return u
@@ -138,21 +143,19 @@ class DiagramStore:
         u = self._uconj.get(key)
         if u is not None:
             return u
-        total = 0
-        union = set()
+        union = 0
         vs = self._vs
         for c in kids:
-            total += len(vs[c])
+            if union & vs[c]:
+                raise DecompositionError("conjunction children share variables")
             union |= vs[c]
-        if total != len(union):
-            raise DecompositionError("conjunction children share variables")
         u = len(self._kind)
         self._kind.append(KIND_CONJ)
         self._var.append(0)
         self._lo.append(0)
         self._hi.append(0)
         self._kids.append(key)
-        self._vs.append(frozenset(union))
+        self._vs.append(union)
         self._minrank.append(self._minrank[kids[0]])
         self._uconj[key] = u
         return u
@@ -204,7 +207,15 @@ class DiagramStore:
         return kids if kids is not None else ()
 
     def vars_of(self, u):
-        return self._vs[u]
+        """The variables occurring in u, as a frozenset of names."""
+        names = self.order.vars
+        mask = self._vs[u]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def min_rank(self, u):
         return self._minrank[u]
@@ -321,8 +332,8 @@ class DiagramStore:
     def _extract_part(self, var, part, whole, part_is_lo, i):
         # one branch appears among the other branch's children:
         # <x, p, p AND R>  =  p AND <x, true, R>   (and mirrored)
-        nv_part = len(self._vs[part])
-        nv_inner = 1 + len(self._vs[whole]) - nv_part
+        nv_part = self._vs[part].bit_count()
+        nv_inner = 1 + self._vs[whole].bit_count() - nv_part
         if nv_part > i and nv_inner > i:
             # both factors would exceed the bound; the plain vertex is final
             if part_is_lo:
@@ -368,13 +379,14 @@ class DiagramStore:
         big = None
         shared_nv = 0
         for c in shared:
-            shared_nv += len(vs[c])
-            if len(vs[c]) > i:
+            nv = vs[c].bit_count()
+            shared_nv += nv
+            if nv > i:
                 big = c
         if big is not None:
             # keeping the big shared factor is only allowed when the
             # residual decision vertex stays within the bound
-            nv_res = 1 + len(vs[lo] | vs[hi]) - shared_nv
+            nv_res = 1 + (vs[lo] | vs[hi]).bit_count() - shared_nv
             if nv_res > i:
                 # the big factor moves back into both residues
                 shared.remove(big)
@@ -410,9 +422,9 @@ class DiagramStore:
             if k == KIND_CONJ:
                 for c in self._kids[p]:
                     flat.append(c)
-                    if len(vs[c]) > i:
+                    if vs[c].bit_count() > i:
                         nbig += 1
-            elif len(vs[p]) > i:
+            elif vs[p].bit_count() > i:
                 flat.append(p)
                 nbig += 1
             else:
@@ -423,8 +435,8 @@ class DiagramStore:
             return flat[0]
         if nbig >= 2:
             merged = self._merge_bigs(
-                tuple(sorted(p for p in flat if len(vs[p]) > i)), i)
-            smalls = [p for p in flat if len(vs[p]) <= i]
+                tuple(sorted(p for p in flat if vs[p].bit_count() > i)), i)
+            smalls = [p for p in flat if vs[p].bit_count() <= i]
             smalls.append(merged)
             return self._conj_parts(smalls, i)
         return self._intern_conj(flat)
@@ -437,13 +449,11 @@ class DiagramStore:
         if r is not None:
             return r
         vs = self._vs
-        total = 0
-        union = set()
+        union = 0
         for p in bigs:
-            total += len(vs[p])
+            if union & vs[p]:
+                raise DecompositionError("factors to merge share variables")
             union |= vs[p]
-        if total != len(union):
-            raise DecompositionError("factors to merge share variables")
         minrank = self._minrank
         first = min(bigs, key=minrank.__getitem__)
         rest = [p for p in bigs if p != first]
@@ -498,7 +508,7 @@ class DiagramStore:
                 vs = self._vs
                 nbig = 0
                 for p in parts:
-                    if len(vs[p]) > i:
+                    if vs[p].bit_count() > i:
                         nbig += 1
                 if nbig >= 2:
                     raise BoundViolationError(
@@ -514,7 +524,7 @@ class DiagramStore:
         Factors that already fit the target bound are kept verbatim; every
         oversized factor is converted and the survivors are re-merged.
         """
-        if u <= TRUE or len(self._vs[u]) <= i:
+        if u <= TRUE or self._vs[u].bit_count() <= i:
             return u
         key = (u, i)
         r = self._memo_convert.get(key)
@@ -531,7 +541,7 @@ class DiagramStore:
             vs = self._vs
             parts = []
             for c in self._kids[u]:
-                if len(vs[c]) <= i:
+                if vs[c].bit_count() <= i:
                     parts.append(c)
                 else:
                     parts.append(self.convert_down(c, i))
@@ -562,31 +572,40 @@ class DiagramStore:
         memo[key] = r
         return r
 
-    def _restrict1(self, u, x, b, i, cache=None):
-        """u with variable x fixed to b; x need not occur in u."""
-        if u <= TRUE or x not in self._vs[u]:
+    def _restrict1(self, u, x, b, i):
+        """u with variable x fixed to b.
+
+        x must be in the store's order (its rank picks the mask bit); it
+        need not occur in u.
+        """
+        xbit = 1 << self.rank[x]
+        if not self._vs[u] & xbit:
             return u
-        if cache is None:
-            cache = self._memo_restrict.setdefault((x, b, i), {})
+        return self._restrict(u, x, xbit, b, i,
+                              self._memo_restrict.setdefault((x, b, i), {}))
+
+    def _restrict(self, u, x, xbit, b, i, cache):
+        # u mentions x, whose mask bit is xbit
         r = cache.get(u)
         if r is not None:
             return r
+        vs = self._vs
         if self._kind[u] == KIND_DECISION:
             y = self._var[u]
+            lo = self._lo[u]
+            hi = self._hi[u]
             if y == x:
-                r = self._hi[u] if b else self._lo[u]
+                r = hi if b else lo
             else:
-                r = self._decision(
-                    y,
-                    self._restrict1(self._lo[u], x, b, i, cache),
-                    self._restrict1(self._hi[u], x, b, i, cache),
-                    i,
-                )
+                if vs[lo] & xbit:
+                    lo = self._restrict(lo, x, xbit, b, i, cache)
+                if vs[hi] & xbit:
+                    hi = self._restrict(hi, x, xbit, b, i, cache)
+                r = self._decision(y, lo, hi, i)
         else:
             # exactly one child mentions x
-            vs = self._vs
-            parts = [self._restrict1(c, x, b, i, cache) if x in vs[c] else c
-                     for c in self._kids[u]]
+            parts = [self._restrict(c, x, xbit, b, i, cache) if vs[c] & xbit
+                     else c for c in self._kids[u]]
             r = self._conj_parts(parts, i)
         cache[u] = r
         return r
@@ -609,18 +628,18 @@ class DiagramStore:
             return r
         vs_u = self._vs[u]
         vs_v = self._vs[v]
-        if vs_u.isdisjoint(vs_v):
+        if not vs_u & vs_v:
             parts = list(self._parts(u))
             parts.extend(self._parts(v))
             r = self._conj_parts(parts, i)
-        elif i == 0 or (len(vs_u) > 1 and len(vs_v) > 1
+        elif i == 0 or (vs_u.bit_count() > 1 and vs_v.bit_count() > 1
                         and self._kind[u] == KIND_DECISION
                         and self._kind[v] == KIND_DECISION):
             # at bound 0 both operands are plain, Shannon is all there is
             r = self._shannon(self.conjoin, u, v, i)
-        elif len(vs_u) == 1:
+        elif vs_u.bit_count() == 1:
             r = self._and_literal(u, v, i)
-        elif len(vs_v) == 1:
+        elif vs_v.bit_count() == 1:
             r = self._and_literal(v, u, i)
         else:
             r = self._conjoin_factored(u, v, i)
@@ -678,20 +697,20 @@ class DiagramStore:
         ku = self._kids[u]
         if kind[v] == KIND_DECISION and len(ku) == 2:
             a, b = ku
-            if len(vs[a]) == 1:
+            if vs[a].bit_count() == 1:
                 lit, other = a, b
-            elif len(vs[b]) == 1:
+            elif vs[b].bit_count() == 1:
                 lit, other = b, a
             else:
                 lit = 0
             if lit:
-                x = self._var[lit]
-                if x in vs[v]:
-                    v = self._restrict1(v, x, self._lo[lit] == FALSE, i)
+                if vs[v] & vs[lit]:
+                    v = self._restrict1(v, self._var[lit],
+                                        self._lo[lit] == FALSE, i)
                 return self._attach(lit, self.conjoin(other, v, i), i)
             vsv = vs[v]
-            ao = not vs[a].isdisjoint(vsv)
-            if ao and not vs[b].isdisjoint(vsv):
+            ao = vs[a] & vsv
+            if ao and vs[b] & vsv:
                 return self._shannon(self.conjoin, u, v, i)
             sub = self.conjoin(a if ao else b, v, i)
             if sub == FALSE:
@@ -706,7 +725,7 @@ class DiagramStore:
         rest_u = []
         rest_v = []
         for p in pu:
-            if len(vs[p]) == 1:
+            if vs[p].bit_count() == 1:
                 pos = lo[p] == FALSE
                 old = lits.get(var[p])
                 if old is not None and old != pos:
@@ -715,7 +734,7 @@ class DiagramStore:
             else:
                 rest_u.append(p)
         for p in self._parts(v):
-            if len(vs[p]) == 1:
+            if vs[p].bit_count() == 1:
                 pos = lo[p] == FALSE
                 old = lits.get(var[p])
                 if old is not None and old != pos:
@@ -724,12 +743,13 @@ class DiagramStore:
             elif p not in pu:
                 rest_v.append(p)
         if lits:
-            items = lits.items()
+            rank = self.rank
+            items = [(x, b, 1 << rank[x]) for x, b in lits.items()]
             ca = []
             for p in rest_u:
                 pvs = vs[p]
-                for x, b in items:
-                    if x in pvs:
+                for x, b, xbit in items:
+                    if pvs & xbit:
                         p = self._restrict1(p, x, b, i)
                 if p == FALSE:
                     return FALSE
@@ -737,8 +757,8 @@ class DiagramStore:
             cb = []
             for p in rest_v:
                 pvs = vs[p]
-                for x, b in items:
-                    if x in pvs:
+                for x, b, xbit in items:
+                    if pvs & xbit:
                         p = self._restrict1(p, x, b, i)
                 if p == FALSE:
                     return FALSE
@@ -747,7 +767,7 @@ class DiagramStore:
                                 self._conj_parts(cb, i), i)
             if core == FALSE:
                 return FALSE
-            out = [self.literal(x, b) for x, b in items]
+            out = [self.literal(x, b) for x, b, _ in items]
             if core != TRUE:
                 out.extend(self._parts(core))
             if len(out) == 1:
@@ -760,13 +780,13 @@ class DiagramStore:
             return self._shannon(self.conjoin, u, v, i)
         # group the factors into connected blocks by variable overlap;
         # independent blocks conjoin separately
-        blocks = [[set(vs[p]), [p], []] for p in rest_u]
+        blocks = [[vs[p], [p], []] for p in rest_u]
         for q in rest_v:
             qvs = vs[q]
             hit = None
             keep = []
             for blk in blocks:
-                if blk[0].isdisjoint(qvs):
+                if not blk[0] & qvs:
                     keep.append(blk)
                 elif hit is None:
                     hit = blk
@@ -776,7 +796,7 @@ class DiagramStore:
                     hit[1].extend(blk[1])
                     hit[2].extend(blk[2])
             if hit is None:
-                keep.append([set(qvs), [], [q]])
+                keep.append([qvs, [], [q]])
             else:
                 hit[0] |= qvs
                 hit[2].append(q)
@@ -883,11 +903,11 @@ class DiagramStore:
             return r
         vs = self._vs
         if self._kind[u] == KIND_DECISION:
-            nu = len(vs[u])
+            nu = vs[u].bit_count()
             lo = self._lo[u]
             hi = self._hi[u]
-            r = (self.model_count(lo) * (1 << (nu - 1 - len(vs[lo])))
-                 + self.model_count(hi) * (1 << (nu - 1 - len(vs[hi]))))
+            r = (self.model_count(lo) * (1 << (nu - 1 - vs[lo].bit_count()))
+                 + self.model_count(hi) * (1 << (nu - 1 - vs[hi].bit_count())))
         else:
             r = 1
             for c in self._kids[u]:

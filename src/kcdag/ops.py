@@ -120,10 +120,11 @@ def model_count(store: DiagramStore, u: int,
         return base
     sc = set(scope)
     _check_vars(store, sc)
-    missing = store.vars_of(u) - sc
+    own = store.vars_of(u)
+    missing = own - sc
     if missing:
         raise ValueError(f"scope is missing diagram variables {sorted(missing)}")
-    return base << len(sc - store.vars_of(u))
+    return base << len(sc - own)
 
 
 def enumerate_models(store: DiagramStore, u: int,
@@ -134,12 +135,13 @@ def enumerate_models(store: DiagramStore, u: int,
     Free variables (in scope but undecided on a path) are expanded false
     first, in ascending variable order.
     """
+    own = store.vars_of(u)
     if scope is None:
-        sc = sorted(store.vars_of(u))
+        sc = sorted(own)
     else:
         sc = sorted(set(scope))
         _check_vars(store, sc)
-        missing = store.vars_of(u) - set(sc)
+        missing = own - set(sc)
         if missing:
             raise ValueError(f"scope is missing diagram variables {sorted(missing)}")
 

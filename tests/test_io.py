@@ -1,10 +1,15 @@
 """Diagram file format and DOT export."""
 
+import hashlib
+
 import pytest
 
 from kcdag import FALSE, TRUE
+from kcdag.compiler import compile_cnf, compile_via
 from kcdag.diagram_io import deserialize, export_dot, serialize
 from kcdag.errors import SerializationError
+from kcdag.families import chain_family, random_cnf
+from kcdag.ops import forget
 from kcdag.ordering import natural_order
 from kcdag.store import INF, new_store
 
@@ -92,3 +97,40 @@ def test_export_dot_shape():
     assert dot.count('label="x1"') == 1
     assert "style=dashed" in dot
     assert export_dot(store, root) == dot
+
+
+CANONICAL_DIGEST = "b97167fff6d95b980210cfc1a1f55241dfde10615cd61577f4eb3b8e2d3e111f"
+
+
+def test_canonical_output_digest():
+    # one sha256 over the serialized results of every route and operation
+    # on a fixed corpus; any change to canonical output changes it
+    digest = hashlib.sha256()
+    texts = 0
+
+    def add(store, root, bound):
+        nonlocal texts
+        digest.update(serialize(store, root, bound).encode())
+        texts += 1
+
+    for seed in range(8):
+        cnf = random_cnf(14, 40, seed=seed)
+        for bound in (0, 1, 2, INF):
+            store, root = compile_cnf(cnf, bound)
+            add(store, root, bound)
+            down = store.convert_down(root, 0)
+            add(store, down, 0)
+            add(store, store.decompose(down, bound), bound)
+            neg = store.negate(root, bound)
+            add(store, neg, bound)
+            cnd = store.condition(root, {1: True, 5: False, 9: True}, bound)
+            add(store, cnd, bound)
+            add(store, forget(store, root, [2, 3, 7], bound), bound)
+            add(store, store.disjoin(cnd, neg, bound), bound)
+    for n in range(2, 6):
+        cnf = chain_family(n, 1)
+        for bound in (0, 1, INF):
+            add(*compile_cnf(cnf, bound), bound)
+            add(*compile_via(cnf, bound), bound)
+    assert texts == 248
+    assert digest.hexdigest() == CANONICAL_DIGEST

@@ -4,10 +4,11 @@ import pytest
 
 from kcdag import FALSE, TRUE
 from kcdag.engine import KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE
+from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.errors import DecompositionError, OrderViolationError
 from kcdag.families import random_cnf
-from kcdag.ordering import natural_order
+from kcdag.ordering import VariableOrder, natural_order
 from kcdag.store import INF, new_store
 
 
@@ -144,3 +145,45 @@ def test_clear_memo_keeps_vertices(store):
         before = every_op(bound)
         store.clear_memo()
         assert every_op(bound) == before
+
+
+def test_condition_rejects_unknown_variable(store):
+    u = store.conjoin(store.literal(1), store.literal(2), 1)
+    with pytest.raises(OrderViolationError):
+        store.condition(u, {99: True}, 1)
+
+
+def test_permuted_order_keeps_ranks_and_names_apart():
+    # ranks 5:0, 2:1, 9:2, 7:3, so no variable's rank is its name minus 1
+    store = new_store(VariableOrder([5, 2, 9, 7]))
+    d = store.make_decision(2, store.literal(9, False), store.literal(7))
+    assert store.vars_of(d) == frozenset({2, 9, 7})
+    c = store.make_conj([store.literal(5), store.literal(7, False)])
+    assert store.vars_of(c) == frozenset({5, 7})
+    with pytest.raises(DecompositionError):
+        store.make_conj([store.literal(9),
+                         store.make_decision(2, store.literal(9), TRUE)])
+
+    # x2 AND (x5 OR NOT x9) AND (x9 OR x7): x2 must hold; x9 true forces
+    # x5 and frees x7, x9 false forces x7 and frees x5; 4 models
+    cnf = CNF(9)
+    for clause in ([2], [5, -9], [9, 7]):
+        cnf.add_clause(clause)
+    lit2, lit5 = store.literal(2), store.literal(5)
+    for bound in (0, 1, INF):
+        u = compile_cnf(cnf, bound, store=store)[1]
+        assert store.vars_of(u) == frozenset({2, 5, 7, 9})
+        assert store.model_count(u) == 4
+        # under x9 = true only x5 AND x2 is left, over {5, 2}
+        if bound == 0:
+            expect = store.make_decision(5, FALSE, lit2)
+        else:
+            expect = store.make_conj([lit5, lit2])
+        got = store.condition(u, {9: True}, bound)
+        assert got == expect
+        assert store.vars_of(got) == frozenset({2, 5})
+        assert store.model_count(got) == 1
+        # under x5 = false, x9 must be false and then x7 true: one model
+        got = store.condition(u, {5: False}, bound)
+        assert store.vars_of(got) == frozenset({2, 7, 9})
+        assert store.model_count(got) == 1
