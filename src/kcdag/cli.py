@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -248,39 +247,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.mode == "size-sweep":
-        bounds = [parse_bound(b) for b in args.bounds.split(",")]
-        print("instance,bound,vertices,edges,ms")
-        for n in range(args.min_chains, args.max_chains + 1):
-            cnf = chain_family(n, args.length)
-            for b in bounds:
-                t0 = time.perf_counter()
-                store, root = compile_cnf(cnf, b, order=natural_order(cnf.num_vars))
-                ms = (time.perf_counter() - t0) * 1000.0
-                print(f"chain-{n},{format_bound(b)},"
-                      f"{store.vertex_count(root)},{store.size(root)},{ms:.2f}")
-        return 0
-    # conjoin-compare: the bound-1-vs-bound-0 bottom-up compile experiment
-    print("instance,clauses,ms_bound0,ms_bound1")
-    t0s, t1s = [], []
-    for k in range(args.instances):
-        cnf = random_cnf(args.vars, args.clauses, seed=args.seed + k)
-        row = []
-        for b in (0, 1):
-            t0 = time.perf_counter()
-            compile_cnf(cnf, b, order=natural_order(args.vars),
-                        schedule=args.schedule)
-            row.append((time.perf_counter() - t0) * 1000.0)
-        t0s.append(row[0])
-        t1s.append(row[1])
-        print(f"{k},{len(cnf.clauses)},{row[0]:.3f},{row[1]:.3f}")
-    print(f"median bound 0: {statistics.median(t0s):.3f} ms; "
-          f"median bound 1: {statistics.median(t1s):.3f} ms",
-          file=sys.stderr)
-    return 0
-
-
 # ----------------------------------------------------------------------
 
 
@@ -389,24 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", default="-")
     g.set_defaults(fn=_cmd_gen)
 
-    c = sub.add_parser("bench", help="built-in measurements")
-    bsub = c.add_subparsers(dest="mode", required=True)
-    b = bsub.add_parser("size-sweep", help="chain family growth per bound")
-    b.add_argument("--min-chains", type=int, default=2)
-    b.add_argument("--max-chains", type=int, default=9)
-    b.add_argument("--length", type=int, default=0)
-    b.add_argument("--bounds", default="0,inf")
-    b.set_defaults(fn=_cmd_bench)
-    b = bsub.add_parser("conjoin-compare",
-                        help="per-instance compile times at bounds 0 and 1")
-    b.add_argument("--vars", type=int, default=20)
-    b.add_argument("--clauses", type=int, default=40)
-    b.add_argument("--instances", type=int, default=10)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--schedule",
-                   choices=["balanced", "sequential", "ordered"],
-                   default="ordered")
-    b.set_defaults(fn=_cmd_bench)
     return p
 
 

@@ -60,19 +60,16 @@ def extract_leaf(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) 
         raise ValueError("applies only when one branch is the false leaf")
     if TRUE in (lo, hi):
         raise ValueError("a single-variable vertex has nothing to extract")
-    if lo == FALSE:
-        return store._attach(store.literal(var, True), hi, i)
-    return store._attach(store.literal(var, False), lo, i)
+    return store._decision(var, lo, hi, i)
 
 
 def extract_part(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) -> int:
     """Factor out a branch that reappears among the other branch's children."""
     i = _check_common(store, var, lo, hi, bound)
-    if store.is_conj(hi) and lo in store.children(hi):
-        return store._extract_part(var, lo, hi, True, i)
-    if store.is_conj(lo) and hi in store.children(lo):
-        return store._extract_part(var, hi, lo, False, i)
-    raise ValueError("neither branch is a child of the other branch")
+    if not (store.is_conj(hi) and lo in store.children(hi)
+            or store.is_conj(lo) and hi in store.children(lo)):
+        raise ValueError("neither branch is a child of the other branch")
+    return store._decision(var, lo, hi, i)
 
 
 def extract_share(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) -> int:
@@ -82,4 +79,4 @@ def extract_share(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound)
         raise ValueError("both branches must be conjunction vertices")
     if not set(store.children(lo)) & set(store.children(hi)):
         raise ValueError("the branches share no children")
-    return store._extract_share(var, lo, hi, i)
+    return store._decision(var, lo, hi, i)

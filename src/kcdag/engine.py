@@ -36,7 +36,7 @@ KIND_DECISION = 2
 KIND_CONJ = 3
 
 # one computed table per memoised operation, keyed by that operation's own
-# arguments; _attach shares conjoin's table since its results are conjoins
+# arguments
 _MEMO_TABLES = (
     "_memo_decision",   # _decision: (var, lo, hi, i)
     "_memo_merge",      # _merge_bigs: (bigs, i)
@@ -272,17 +272,17 @@ class DiagramStore:
 
     def evaluate(self, u, assignment):
         """Truth value under a total assignment of vars_of(u)."""
-        k = self._kind[u]
-        if k == KIND_FALSE:
-            return False
-        if k == KIND_TRUE:
-            return True
-        if k == KIND_DECISION:
-            branch = self._hi[u] if assignment[self._var[u]] else self._lo[u]
-            return self.evaluate(branch, assignment)
-        for c in self._kids[u]:
-            if not self.evaluate(c, assignment):
+        stack = [u]
+        while stack:
+            u = stack.pop()
+            k = self._kind[u]
+            if k == KIND_FALSE:
                 return False
+            if k == KIND_DECISION:
+                x = self._var[u]
+                stack.append(self._hi[u] if assignment[x] else self._lo[u])
+            elif k == KIND_CONJ:
+                stack.extend(self._kids[u])
         return True
 
     def clear_memo(self):
@@ -310,9 +310,9 @@ class DiagramStore:
             return self.make_decision(var, lo, hi)
         if lo == FALSE:
             # the vertex is literal AND hi
-            return self._attach(self.literal(var, True), hi, i)
+            return self._conj_parts([self.literal(var, True), hi], i)
         if hi == FALSE:
-            return self._attach(self.literal(var, False), lo, i)
+            return self._conj_parts([self.literal(var, False), lo], i)
         key = (var, lo, hi, i)
         memo = self._memo_decision
         r = memo.get(key)
@@ -397,10 +397,8 @@ class DiagramStore:
                 rest_hi = [c for c in khi if c not in shared_set]
         lo2 = self.make_conj(rest_lo)
         hi2 = self.make_conj(rest_hi)
-        residual = self._decision(var, lo2, hi2, i)
-        if len(shared) == 1:
-            return self._attach(shared[0], residual, i)
-        return self.make_conj(shared + [residual])
+        shared.append(self._decision(var, lo2, hi2, i))
+        return self._conj_parts(shared, i)
 
     def _conj_parts(self, parts, i):
         """Canonical conjunction of canonical, variable-disjoint factors.
@@ -637,35 +635,9 @@ class DiagramStore:
                         and self._kind[v] == KIND_DECISION):
             # at bound 0 both operands are plain, Shannon is all there is
             r = self._shannon(self.conjoin, u, v, i)
-        elif vs_u.bit_count() == 1:
-            r = self._and_literal(u, v, i)
-        elif vs_v.bit_count() == 1:
-            r = self._and_literal(v, u, i)
         else:
             r = self._conjoin_factored(u, v, i)
         memo[key] = r
-        return r
-
-    def _and_literal(self, lit, v, i):
-        # i >= 1 and lit's variable occurs in v
-        core = self._restrict1(v, self._var[lit], self._lo[lit] == FALSE, i)
-        return self._attach(lit, core, i)
-
-    def _attach(self, lit, core, i):
-        # literal AND core, where core is canonical and never mentions the
-        # literal's variable; results land in the conjoin memo
-        if core == FALSE:
-            return FALSE
-        if core == TRUE:
-            return lit
-        key = (lit, core, i) if lit < core else (core, lit, i)
-        memo = self._memo_and
-        r = memo.get(key)
-        if r is None:
-            out = [lit]
-            out.extend(self._parts(core))
-            r = self._intern_conj(out)
-            memo[key] = r
         return r
 
     def _shannon(self, op, u, v, i):
@@ -687,87 +659,48 @@ class DiagramStore:
         return self._decision(x, op(u0, v0, i), op(u1, v1, i), i)
 
     def _conjoin_factored(self, u, v, i):
-        # at least one operand is a conjunction; peel unit factors off both
-        # sides first, since conjoining with a literal is a linear
-        # conditioning pass rather than a Shannon expansion
+        # overlapping operands whose parts include a literal or a
+        # conjunction (i >= 1); peel the unit factors off both sides first,
+        # since conjoining with a literal is a linear conditioning pass
+        # rather than a Shannon expansion
         vs = self._vs
-        kind = self._kind
-        if kind[u] != KIND_CONJ:
-            u, v = v, u
-        ku = self._kids[u]
-        if kind[v] == KIND_DECISION and len(ku) == 2:
-            a, b = ku
-            if vs[a].bit_count() == 1:
-                lit, other = a, b
-            elif vs[b].bit_count() == 1:
-                lit, other = b, a
-            else:
-                lit = 0
-            if lit:
-                if vs[v] & vs[lit]:
-                    v = self._restrict1(v, self._var[lit],
-                                        self._lo[lit] == FALSE, i)
-                return self._attach(lit, self.conjoin(other, v, i), i)
-            vsv = vs[v]
-            ao = vs[a] & vsv
-            if ao and vs[b] & vsv:
-                return self._shannon(self.conjoin, u, v, i)
-            sub = self.conjoin(a if ao else b, v, i)
-            if sub == FALSE:
-                return FALSE
-            out = [b if ao else a]
-            out.extend(self._parts(sub))
-            return self._conj_parts(out, i)
         var = self._var
         lo = self._lo
-        pu = ku
+        pu = self._parts(u)
         lits = {}
         rest_u = []
         rest_v = []
-        for p in pu:
-            if vs[p].bit_count() == 1:
-                pos = lo[p] == FALSE
-                old = lits.get(var[p])
-                if old is not None and old != pos:
-                    return FALSE
-                lits[var[p]] = pos
-            else:
-                rest_u.append(p)
-        for p in self._parts(v):
-            if vs[p].bit_count() == 1:
-                pos = lo[p] == FALSE
-                old = lits.get(var[p])
-                if old is not None and old != pos:
-                    return FALSE
-                lits[var[p]] = pos
-            elif p not in pu:
-                rest_v.append(p)
+        for parts, rest, in_u in ((pu, rest_u, ()), (self._parts(v), rest_v, pu)):
+            for p in parts:
+                if vs[p].bit_count() == 1:
+                    # literals are hash-consed: another id is the other phase
+                    old = lits.setdefault(var[p], p)
+                    if old != p:
+                        return FALSE
+                elif p not in in_u:
+                    rest.append(p)
         if lits:
-            rank = self.rank
-            items = [(x, b, 1 << rank[x]) for x, b in lits.items()]
-            ca = []
-            for p in rest_u:
-                pvs = vs[p]
-                for x, b, xbit in items:
-                    if pvs & xbit:
-                        p = self._restrict1(p, x, b, i)
-                if p == FALSE:
-                    return FALSE
-                ca.append(p)
-            cb = []
-            for p in rest_v:
-                pvs = vs[p]
-                for x, b, xbit in items:
-                    if pvs & xbit:
-                        p = self._restrict1(p, x, b, i)
-                if p == FALSE:
-                    return FALSE
-                cb.append(p)
-            core = self.conjoin(self._conj_parts(ca, i),
-                                self._conj_parts(cb, i), i)
+            # restrict every factor of both sides before building either
+            # side's conjunction; building one side first interns extra
+            # vertices.  A literal's mask is its variable's bit.
+            items = [(x, lo[p] == FALSE, vs[p]) for x, p in lits.items()]
+            sides = []
+            for rest in (rest_u, rest_v):
+                side = []
+                for p in rest:
+                    pvs = vs[p]
+                    for x, b, xbit in items:
+                        if pvs & xbit:
+                            p = self._restrict1(p, x, b, i)
+                    if p == FALSE:
+                        return FALSE
+                    side.append(p)
+                sides.append(side)
+            core = self.conjoin(self._conj_parts(sides[0], i),
+                                self._conj_parts(sides[1], i), i)
             if core == FALSE:
                 return FALSE
-            out = [self.literal(x, b) for x, b, _ in items]
+            out = list(lits.values())
             if core != TRUE:
                 out.extend(self._parts(core))
             if len(out) == 1:
@@ -776,8 +709,6 @@ class DiagramStore:
         if not rest_v:
             # every factor of v is also a factor of u
             return u
-        if len(rest_u) == 1 and len(rest_v) == 1:
-            return self._shannon(self.conjoin, u, v, i)
         # group the factors into connected blocks by variable overlap;
         # independent blocks conjoin separately
         blocks = [[vs[p], [p], []] for p in rest_u]
@@ -915,17 +846,17 @@ class DiagramStore:
         self._memo_count[u] = r
         return r
 
-    def sat_under(self, u, assignment, _cache=None):
+    def sat_under(self, u, assignment):
         """Satisfiability of u restricted by a partial assignment.
 
         Linear in the diagram: conjunction children range over disjoint
         variables, so their restrictions are independently satisfiable.
         """
-        return self._under(u, assignment, True, {} if _cache is None else _cache)
+        return self._under(u, assignment, True, {})
 
-    def valid_under(self, u, assignment, _cache=None):
+    def valid_under(self, u, assignment):
         """Validity of u restricted by a partial assignment (dual walk)."""
-        return self._under(u, assignment, False, {} if _cache is None else _cache)
+        return self._under(u, assignment, False, {})
 
     def _under(self, u, assignment, settle, cache):
         # settle is the value one branch of a free decision vertex decides

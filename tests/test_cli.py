@@ -161,23 +161,6 @@ def test_gen_families(capsys, tmp_path):
     assert parsed.num_vars == 6 and len(parsed.clauses) == 9
 
 
-def test_bench_csv_contracts(capsys):
-    assert run(["bench", "size-sweep", "--min-chains", "2", "--max-chains", "3",
-                "--bounds", "0,inf"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "instance,bound,vertices,edges,ms"
-    assert len(lines) == 5
-    assert lines[1].startswith("chain-2,0,")
-
-    assert run(["bench", "conjoin-compare", "--vars", "10", "--clauses", "15",
-                "--instances", "2"]) == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().splitlines()
-    assert lines[0] == "instance,clauses,ms_bound0,ms_bound1"
-    assert len(lines) == 3
-    assert "median bound 0:" in captured.err
-
-
 def test_errors(capsys, tmp_path):
     assert run(["compile", str(tmp_path / "missing.cnf"), "--bound", "0"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kcdag import FALSE, TRUE
+from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.families import random_cnf
 from kcdag.ops import (
@@ -69,6 +70,30 @@ def test_binary_ops_match_tables(vt8):
         assert diagram_table(store, conjoin(store, u, v, bound), SCOPE) == tu & tv
         assert diagram_table(store, disjoin(store, u, v, bound), SCOPE) == tu | tv
         assert diagram_table(store, negate(store, u, bound), SCOPE) == FULL ^ tu
+
+
+def test_conjoin_equals_compiling_the_union():
+    # canonicity: conjoining two compiled formulas, or a formula and a
+    # literal in either operand position, gives the vertex of compiling
+    # all their clauses at once
+    for seed in range(8):
+        a = random_cnf(8, 10, seed=seed)
+        b = random_cnf(8, 8, seed=100 + seed)
+        for bound in BOUNDS:
+            store = new_store(natural_order(8))
+            u = compile_cnf(a, bound, store=store)[1]
+            v = compile_cnf(b, bound, store=store)[1]
+            both = CNF(8, list(a.clauses) + list(b.clauses))
+            assert conjoin(store, u, v, bound) == \
+                compile_cnf(both, bound, store=store)[1]
+            for x in SCOPE:
+                for positive in (True, False):
+                    unit = CNF(8, list(a.clauses))
+                    unit.add_clause([x if positive else -x])
+                    want = compile_cnf(unit, bound, store=store)[1]
+                    lit = store.literal(x, positive)
+                    assert conjoin(store, lit, u, bound) == want
+                    assert conjoin(store, u, lit, bound) == want
 
 
 def test_condition_matches_projection(vt8):

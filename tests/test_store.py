@@ -147,6 +147,20 @@ def test_clear_memo_keeps_vertices(store):
         assert every_op(bound) == before
 
 
+def test_evaluate_deep_chain():
+    # x1 AND ... AND x5000 as a raw decision chain, far deeper than the
+    # recursion limit
+    n = 5000
+    store = new_store(natural_order(n))
+    u = TRUE
+    for x in range(n, 0, -1):
+        u = store.make_decision(x, FALSE, u)
+    every = {x: True for x in range(1, n + 1)}
+    assert store.evaluate(u, every)
+    for x in (1, 2, 2500, n - 1, n):
+        assert not store.evaluate(u, {**every, x: False})
+
+
 def test_condition_rejects_unknown_variable(store):
     u = store.conjoin(store.literal(1), store.literal(2), 1)
     with pytest.raises(OrderViolationError):
