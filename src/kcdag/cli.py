@@ -18,7 +18,7 @@ from .convert import convert as do_convert
 from .decompose import decompose as do_decompose
 from .validate import DEFAULT_SEMANTIC_LIMIT, validate as do_validate
 from .cnf import parse_dimacs, format_dimacs
-from .compiler import compile_cnf
+from .compiler import SCHEDULES, compile_cnf
 from .errors import KcdagError
 from .families import chain_family, random_cnf
 from .ordering import natural_order
@@ -262,9 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bound", required=True,
                    help="decomposition bound: non-negative integer or inf")
     c.add_argument("--order", choices=["minfill", "natural"], default="minfill")
-    c.add_argument("--schedule",
-                   choices=["balanced", "sequential", "ordered"],
-                   default="balanced")
+    c.add_argument("--schedule", choices=SCHEDULES, default="bucket")
     c.add_argument("-o", "--output", help="write the diagram here (kdag format)")
     c.set_defaults(fn=_cmd_compile)
 

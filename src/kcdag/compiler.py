@@ -34,17 +34,26 @@ def clause_diagram(store: DiagramStore, clause: Clause | Iterable) -> int:
     return acc
 
 
+SCHEDULES = ("bucket", "balanced", "sequential", "ordered")
+
+
 def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
-                schedule: str = "balanced",
+                schedule: str = "bucket",
                 store: DiagramStore | None = None) -> tuple[DiagramStore, int]:
     """Compile a CNF to its canonical diagram at the given bound.
 
     Returns (store, root).  With no explicit order, min-fill over the
-    formula's primal graph is used.  `schedule` picks how the per-clause
-    diagrams are conjoined: "balanced" (pairwise rounds, the default),
-    "sequential" (left fold in clause order), or "ordered" (left fold
-    with clauses sorted by the rank of their earliest variable, so the
-    top of the order gets constrained first).
+    formula's primal graph is used.  `schedule` (one of SCHEDULES) picks how
+    the per-clause diagrams are conjoined; every schedule gives the same
+    vertex.  "bucket" (the default) reads the store's order as an
+    elimination sequence, rank 0 first: each clause goes to the bucket of
+    its earliest variable, and what a bucket holds moves on to the bucket
+    of its next variable; the roots of that elimination forest, which
+    share no variable, are conjoined last.  "balanced" conjoins all clauses
+    in pairwise rounds, "sequential" is a left fold in clause order, and
+    "ordered" a left fold with clauses sorted by the rank of their earliest
+    variable, so the top of the order gets constrained first.  Tautological
+    and repeated clauses are dropped.
     """
     i = parse_bound(bound)
     if store is None:
@@ -56,7 +65,7 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     for v in cnf.variables:
         if v not in store.rank:
             raise ValueError(f"variable {v} is not in the compilation order")
-    if schedule not in ("balanced", "sequential", "ordered"):
+    if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
 
     seen: set[frozenset] = set()
@@ -64,7 +73,7 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     for cl in cnf.clauses:
         if cl.is_empty():
             return store, FALSE
-        if cl.literals in seen:
+        if cl.literals in seen or cl.is_tautological():
             continue
         seen.add(cl.literals)
         clauses.append(cl)
@@ -76,24 +85,85 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
 
     if not diagrams:
         return store, TRUE
-    if schedule != "balanced":
-        root = diagrams[0]
-        for d in diagrams[1:]:
-            root = store.conjoin(root, d, i)
-            if root == FALSE:
-                return store, FALSE
-        return store, root
+    if schedule == "bucket":
+        return store, _bucket(store, clauses, diagrams, i)
+    if schedule == "balanced":
+        return store, _pairwise(store, diagrams, i)
+    root = diagrams[0]
+    for d in diagrams[1:]:
+        root = store.conjoin(root, d, i)
+        if root == FALSE:
+            return store, FALSE
+    return store, root
+
+
+def _pairwise(store: DiagramStore, diagrams: list[int], i: int) -> int:
+    """Conjoin in rounds of neighbouring pairs; FALSE as soon as one is."""
     while len(diagrams) > 1:
         nxt = []
         for k in range(0, len(diagrams) - 1, 2):
             d = store.conjoin(diagrams[k], diagrams[k + 1], i)
             if d == FALSE:
-                return store, FALSE
+                return FALSE
             nxt.append(d)
         if len(diagrams) % 2:
             nxt.append(diagrams[-1])
         diagrams = nxt
-    return store, diagrams[0]
+    return diagrams[0]
+
+
+def _bucket(store: DiagramStore, clauses: list[Clause], diagrams: list[int],
+            i: int) -> int:
+    """Conjoin clause diagrams along the store's order, bucket by bucket.
+
+    Bucket r holds the clauses whose earliest variable has rank r, and
+    scope[r] is the OR of their rank masks (bit r for the variable of rank
+    r) and of the scopes sent to it.  What a bucket sends on, to the
+    bucket of the next rank in its scope, is a run: diagrams still to be
+    conjoined.  A bucket that receives one run appends the conjunction of
+    its own clauses to it; one that receives several first conjoins each
+    run, in balanced rounds, and starts a new run of those results.  A run
+    with no later rank is a root of the elimination forest.  So a path of
+    buckets is conjoined in balanced rounds: folding it one bucket at a
+    time takes quadratic time on a chain.
+    """
+    rank = store.rank
+    own: list[list[int]] = [[] for _ in store.order.vars]
+    scope = [0] * len(own)
+    for cl, d in zip(clauses, diagrams):
+        mask = 0
+        for lit in cl:
+            mask |= 1 << rank[lit.var]
+        r = (mask & -mask).bit_length() - 1
+        own[r].append(d)
+        scope[r] |= mask
+    runs: list[list[list[int]]] = [[] for _ in own]
+    roots = []
+    for r, ds in enumerate(own):
+        if len(runs[r]) == 1:
+            run = runs[r][0]
+        else:
+            run = []
+            for w in runs[r]:
+                run.append(_pairwise(store, w, i))
+                if run[-1] == FALSE:
+                    return FALSE
+        if ds:
+            run.append(_pairwise(store, ds, i))
+            if run[-1] == FALSE:
+                return FALSE
+        if not run:
+            continue
+        later = scope[r] >> (r + 1) << (r + 1)
+        if later:
+            k = (later & -later).bit_length() - 1
+            runs[k].append(run)
+            scope[k] |= scope[r]
+        else:
+            roots.append(_pairwise(store, run, i))
+            if roots[-1] == FALSE:
+                return FALSE
+    return _pairwise(store, roots, i)
 
 
 def compile_via(cnf: CNF, bound: Bound, order: VariableOrder | None = None,

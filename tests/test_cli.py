@@ -7,7 +7,7 @@ import pytest
 
 from kcdag.cli import run
 from kcdag.cnf import format_dimacs, parse_dimacs
-from kcdag.compiler import compile_cnf
+from kcdag.compiler import SCHEDULES, compile_cnf
 from kcdag.diagram_io import serialize
 from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import natural_order
@@ -49,6 +49,15 @@ def test_compile_matches_library(capsys, cnf_file, tmp_path):
     cnf = parse_dimacs(open(cnf_file).read())
     store, root = compile_cnf(cnf, 2, order=natural_order(cnf.num_vars))
     assert open(out).read() == serialize(store, root, 2)
+
+
+def test_every_schedule_writes_the_same_diagram(capsys, cnf_file, tmp_path):
+    texts = {
+        open(_compile(capsys, cnf_file, tmp_path, "1", name=f"{s}.kdag",
+                      extra=("--schedule", s))[0]).read()
+        for s in SCHEDULES
+    }
+    assert len(texts) == 1
 
 
 def test_count_and_enumerate(capsys, tmp_path):

@@ -1,12 +1,15 @@
 """CNF compilation: clause diagrams, schedules, and route independence."""
 
+import random
+
 import pytest
 
 from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
-from kcdag.compiler import clause_diagram, compile_cnf, compile_via
+from kcdag.compiler import SCHEDULES, clause_diagram, compile_cnf, compile_via
 from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import VariableOrder, natural_order
+from kcdag.ops import model_count
 from kcdag.store import INF, new_store
 
 from conftest import cnf_table, diagram_table, var_tables
@@ -54,6 +57,30 @@ def test_degenerate_formulas():
     assert root == clause_diagram(store, [1, 2])
 
 
+def test_tautological_clause_is_dropped():
+    taut = CNF(2)
+    taut.add_clause([1, -1])
+    taut.add_clause([2])
+    unit = CNF(2)
+    unit.add_clause([2])
+    for bound in (0, 1, INF):
+        store = new_store(natural_order(2))
+        want = compile_cnf(unit, bound, store=store)[1]
+        for s in SCHEDULES:
+            assert compile_cnf(taut, bound, store=store, schedule=s)[1] == want
+
+
+def test_shuffled_chain_compiles_under_the_default_limit():
+    # x_k <-> x_{k+1} for k < 1000 in shuffled clause order: the default
+    # schedule adds the links along the order whatever the clause order,
+    # where the balanced schedule exceeds the default recursion limit
+    cnf = chain_family(1, 998, mode="all-equal")
+    random.Random(5).shuffle(cnf.clauses)
+    for bound in (1, INF):
+        store, root = compile_cnf(cnf, bound, order=natural_order(1000))
+        assert model_count(store, root, scope=store.order.vars) == 2
+
+
 def test_unknown_schedule_rejected():
     with pytest.raises(ValueError):
         compile_cnf(CNF(2), 0, order=natural_order(2), schedule="random")
@@ -74,7 +101,7 @@ def test_schedules_agree():
         for bound in (0, 1, 2, INF):
             roots = {
                 s: compile_cnf(cnf, bound, store=store, schedule=s)[1]
-                for s in ("balanced", "sequential", "ordered")
+                for s in SCHEDULES
             }
             assert len(set(roots.values())) == 1
 
