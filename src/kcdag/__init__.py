@@ -10,12 +10,13 @@ negate, condition, forget).
 from .cnf import CNF, Clause, Literal, format_dimacs, parse_dimacs
 from .compiler import clause_diagram, compile_cnf, compile_via
 from .convert import convert, convert_down
-from .decompose import decompose, extract_leaf, extract_part, extract_share, finest
+from .decompose import decompose, finest
 from .engine import FALSE, TRUE, DiagramStore
 from .errors import (
     BoundViolationError,
     DecompositionError,
     DimacsError,
+    InputError,
     KcdagError,
     OracleLimitError,
     OrderViolationError,
@@ -39,7 +40,7 @@ from .ops import (
     negate,
 )
 from .ordering import VariableOrder, min_fill_order, natural_order
-from .store import INF, Bound, format_bound, new_store, parse_bound
+from .store import INF, Bound, format_bound, parse_bound
 from .validate import ValidationReport, validate
 
 __version__ = "0.1.0"
@@ -54,6 +55,7 @@ __all__ = [
     "DimacsError",
     "FALSE",
     "INF",
+    "InputError",
     "KcdagError",
     "Literal",
     "OracleLimitError",
@@ -78,9 +80,6 @@ __all__ = [
     "enumerate_models",
     "equivalent",
     "export_dot",
-    "extract_leaf",
-    "extract_part",
-    "extract_share",
     "finest",
     "forget",
     "format_bound",
@@ -92,7 +91,6 @@ __all__ = [
     "model_count",
     "natural_order",
     "negate",
-    "new_store",
     "parse_bound",
     "parse_dimacs",
     "random_cnf",

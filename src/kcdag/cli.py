@@ -19,17 +19,20 @@ from .decompose import decompose as do_decompose
 from .validate import DEFAULT_SEMANTIC_LIMIT, validate as do_validate
 from .cnf import parse_dimacs, format_dimacs
 from .compiler import SCHEDULES, compile_cnf
-from .errors import KcdagError
+from .errors import InputError, KcdagError
 from .families import chain_family, random_cnf
 from .ordering import natural_order
 from .store import format_bound, parse_bound
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -175,6 +178,8 @@ def _cmd_apply(args) -> int:
         a = do_convert(store, root, bound, target)
         out = ops.negate(store, a, target)
     else:
+        if args.other is None:
+            raise KcdagError(f"{args.op} needs a second diagram file")
         store2, root2, bound2 = _load_diagram(args.other, store=store)
         a = do_convert(store, root, bound, target)
         b = do_convert(store, root2, bound2, target)
@@ -361,12 +366,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (KcdagError, ValueError, OSError) as exc:
+    except (KcdagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: diagram too deep for the recursive engine "
-              "(Python recursion limit reached)", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

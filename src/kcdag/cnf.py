@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DimacsError, OracleLimitError
+from .errors import DimacsError, InputError, OracleLimitError
 
 # Hard cap for the enumeration oracles; 2^24 assignments is a few seconds.
 ORACLE_VAR_LIMIT = 24
@@ -25,7 +25,7 @@ class Literal(NamedTuple):
     @staticmethod
     def from_int(code: int) -> "Literal":
         if code == 0:
-            raise ValueError("literal code 0 is the DIMACS terminator")
+            raise InputError("literal code 0 is the DIMACS terminator")
         return Literal(abs(code), code > 0)
 
     def to_int(self) -> int:
@@ -81,7 +81,7 @@ class CNF:
         literals = [lit if isinstance(lit, Literal) else Literal.from_int(lit) for lit in lits]
         for lit in literals:
             if lit.var > self.num_vars:
-                raise ValueError(f"variable {lit.var} exceeds declared universe {self.num_vars}")
+                raise InputError(f"variable {lit.var} exceeds declared universe {self.num_vars}")
         self.clauses.append(Clause(literals))
 
 
@@ -169,7 +169,7 @@ def oracle_count(cnf: CNF, scope: Iterable[int] | None = None) -> int:
     """Model count by exhaustive enumeration over scope (default: 1..num_vars)."""
     vs = sorted(set(scope)) if scope is not None else list(range(1, cnf.num_vars + 1))
     if not set(cnf.variables) <= set(vs):
-        raise ValueError("scope must cover every variable used by a clause")
+        raise InputError("scope must cover every variable used by a clause")
     if len(vs) > ORACLE_VAR_LIMIT:
         raise OracleLimitError(f"{len(vs)} variables exceeds oracle limit {ORACLE_VAR_LIMIT}")
     count = 0
@@ -183,5 +183,5 @@ def oracle_models(cnf: CNF, scope: Iterable[int] | None = None) -> list[dict[int
     """All models over scope, in the iteration order of iter_assignments."""
     vs = sorted(set(scope)) if scope is not None else list(range(1, cnf.num_vars + 1))
     if not set(cnf.variables) <= set(vs):
-        raise ValueError("scope must cover every variable used by a clause")
+        raise InputError("scope must cover every variable used by a clause")
     return [a for a in iter_assignments(vs) if oracle_eval(cnf, a)]

@@ -6,6 +6,7 @@ from typing import Iterable
 
 from .cnf import CNF, Clause, Literal
 from .engine import FALSE, TRUE, DiagramStore
+from .errors import InputError
 from .ordering import VariableOrder, min_fill_order
 from .store import INF, Bound, parse_bound
 
@@ -24,7 +25,7 @@ def clause_diagram(store: DiagramStore, clause: Clause | Iterable) -> int:
         return FALSE
     phase = {lit.var: lit.positive for lit in lits}
     if len(phase) != len(lits):
-        raise ValueError("clause repeats a variable")
+        raise InputError("clause repeats a variable")
     acc = FALSE
     for var in sorted(phase, key=store.rank.__getitem__, reverse=True):
         if phase[var]:
@@ -61,12 +62,12 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
             order = min_fill_order(cnf)
         store = DiagramStore(order)
     elif order is not None and tuple(order.vars) != tuple(store.order.vars):
-        raise ValueError("explicit order conflicts with the store's order")
+        raise InputError("explicit order conflicts with the store's order")
     for v in cnf.variables:
         if v not in store.rank:
-            raise ValueError(f"variable {v} is not in the compilation order")
+            raise InputError(f"variable {v} is not in the compilation order")
     if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}")
+        raise InputError(f"unknown schedule {schedule!r}")
 
     seen: set[frozenset] = set()
     clauses = []

@@ -1,16 +1,15 @@
-"""Canonicalization: finest bounded factorings and the extraction rules.
+"""Canonicalization: finest bounded factorings.
 
 decompose() turns any in-bound raw diagram into the canonical form for its
-store's order and the given bound.  The extract_* functions expose the three
-rewrite rules decompose applies at decision vertices; each validates that its
-rule actually applies before building anything.
+store's order and the given bound; finest() factors a conjunction of
+canonical parts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .engine import FALSE, TRUE, DiagramStore
+from .engine import DiagramStore
 from .store import Bound, parse_bound
 
 
@@ -38,45 +37,3 @@ def finest(store: DiagramStore, parts: Iterable[int], bound: Bound) -> tuple[int
         return tuple(store.children(r))
     return (r,)
 
-
-def _check_common(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound):
-    i = parse_bound(bound)
-    if i == 0:
-        raise ValueError("bound 0 admits no conjunction vertices; nothing to extract")
-    if var not in store.rank:
-        raise ValueError(f"variable {var} is not in this store's order")
-    if lo == hi:
-        raise ValueError("branches are identical; the vertex collapses instead")
-    r = store.rank[var]
-    if r >= store.min_rank(lo) or r >= store.min_rank(hi):
-        raise ValueError(f"variable {var} does not precede both branches")
-    return i
-
-
-def extract_leaf(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) -> int:
-    """Factor a literal out of a decision vertex with a false branch."""
-    i = _check_common(store, var, lo, hi, bound)
-    if FALSE not in (lo, hi):
-        raise ValueError("applies only when one branch is the false leaf")
-    if TRUE in (lo, hi):
-        raise ValueError("a single-variable vertex has nothing to extract")
-    return store._decision(var, lo, hi, i)
-
-
-def extract_part(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) -> int:
-    """Factor out a branch that reappears among the other branch's children."""
-    i = _check_common(store, var, lo, hi, bound)
-    if not (store.is_conj(hi) and lo in store.children(hi)
-            or store.is_conj(lo) and hi in store.children(lo)):
-        raise ValueError("neither branch is a child of the other branch")
-    return store._decision(var, lo, hi, i)
-
-
-def extract_share(store: DiagramStore, var: int, lo: int, hi: int, bound: Bound) -> int:
-    """Factor the children common to two conjunction branches out of a vertex."""
-    i = _check_common(store, var, lo, hi, bound)
-    if not (store.is_conj(lo) and store.is_conj(hi)):
-        raise ValueError("both branches must be conjunction vertices")
-    if not set(store.children(lo)) & set(store.children(hi)):
-        raise ValueError("the branches share no children")
-    return store._decision(var, lo, hi, i)

@@ -19,11 +19,15 @@ factoring.  make_decision / make_conj build raw (ordered, reduced, flat)
 vertices without canonicalizing; the canonicalizing constructors are the
 internal _decision / _conj_parts, which is what decompose, convert_down and
 the apply-style operations are built from.
+
+Every walk keeps its frames on an explicit stack, so no operation depends on
+Python's recursion limit, however deep the diagram.
 """
 
 from .errors import (
     BoundViolationError,
     DecompositionError,
+    InputError,
     OrderViolationError,
 )
 
@@ -36,19 +40,40 @@ KIND_DECISION = 2
 KIND_CONJ = 3
 
 # one computed table per memoised operation, keyed by that operation's own
-# arguments
+# arguments; a walk's table holds one dict per bound, keyed by the walk's key
 _MEMO_TABLES = (
     "_memo_decision",   # _decision: (var, lo, hi, i)
-    "_memo_merge",      # _merge_bigs: (bigs, i)
-    "_memo_decompose",  # decompose: (u, i)
-    "_memo_convert",    # convert_down: (u, i)
+    "_memo_merge",      # _merge_bigs: i -> {bigs: result}
+    "_memo_decompose",  # decompose: i -> {u: result}
+    "_memo_convert",    # convert_down: i -> {u: result}
     "_memo_cofactor",   # _cofactor_top: (u, i)
     "_memo_restrict",   # _restrict1: (x, b, i) -> {u: result}
-    "_memo_and",        # conjoin: (u, v, i), u < v
-    "_memo_or",         # disjoin: (u, v, i), u < v
-    "_memo_not",        # negate: (u, i)
+    "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
+    "_memo_or",         # disjoin: i -> {(u, v): result}, u < v
+    "_memo_not",        # negate: i -> {u: result}
     "_memo_count",      # model_count: u
 )
+
+
+def _walk(root, memo, step):
+    """The result for root of a memoised walk, run on an explicit stack.
+
+    step(key) is a generator for one key that memo, the walk's table, lacks:
+    it yields the keys whose results it needs, reads them from memo once
+    resumed, and stores its own result there.  Trivial keys such as leaves
+    are in memo from the start or never yielded.  A step may start a walk
+    of another kind (merging oversized factors) but never of its own.
+    """
+    if root not in memo:
+        frames = [step(root)]
+        while frames:
+            # next() ends a returning step quietly, with no StopIteration
+            key = next(frames[-1], None)
+            if key is None:
+                frames.pop()
+            elif key not in memo:
+                frames.append(step(key))
+    return memo[root]
 
 
 class DiagramStore:
@@ -74,8 +99,7 @@ class DiagramStore:
         self._unique = {}
         self._uconj = {}
         self._litcache = {}
-        for name in _MEMO_TABLES:
-            setattr(self, name, {})
+        self.clear_memo()
 
     # ------------------------------------------------------------------
     # raw constructors
@@ -188,17 +212,17 @@ class DiagramStore:
 
     def var_of(self, u):
         if self._kind[u] != KIND_DECISION:
-            raise ValueError(f"vertex {u} is not a decision vertex")
+            raise InputError(f"vertex {u} is not a decision vertex")
         return self._var[u]
 
     def lo(self, u):
         if self._kind[u] != KIND_DECISION:
-            raise ValueError(f"vertex {u} is not a decision vertex")
+            raise InputError(f"vertex {u} is not a decision vertex")
         return self._lo[u]
 
     def hi(self, u):
         if self._kind[u] != KIND_DECISION:
-            raise ValueError(f"vertex {u} is not a decision vertex")
+            raise InputError(f"vertex {u} is not a decision vertex")
         return self._hi[u]
 
     def children(self, u):
@@ -288,7 +312,8 @@ class DiagramStore:
     def clear_memo(self):
         """Empty every computed table; vertices and their ids are kept."""
         for name in _MEMO_TABLES:
-            getattr(self, name).clear()
+            setattr(self, name, {})
+        self._memo_count.update({FALSE: 0, TRUE: 1})
 
     # ------------------------------------------------------------------
     # canonicalizing constructors
@@ -436,35 +461,46 @@ class DiagramStore:
                 tuple(sorted(p for p in flat if vs[p].bit_count() > i)), i)
             smalls = [p for p in flat if vs[p].bit_count() <= i]
             smalls.append(merged)
+            # the merged vertex is canonical, so this call merges nothing
             return self._conj_parts(smalls, i)
         return self._intern_conj(flat)
 
     def _merge_bigs(self, bigs, i):
         """Fold variable-disjoint oversized factors into one decision vertex
         by branching on the earliest variable among them."""
-        key = (bigs, i)
-        r = self._memo_merge.get(key)
-        if r is not None:
-            return r
+        memo = self._memo_merge.setdefault(i, {})
         vs = self._vs
-        union = 0
-        for p in bigs:
-            if union & vs[p]:
-                raise DecompositionError("factors to merge share variables")
-            union |= vs[p]
-        minrank = self._minrank
-        first = min(bigs, key=minrank.__getitem__)
-        rest = [p for p in bigs if p != first]
-        x = self._var[first]
-        lo_parts = [self._lo[first]]
-        lo_parts.extend(rest)
-        hi_parts = [self._hi[first]]
-        hi_parts.extend(rest)
-        u0 = self._conj_parts(lo_parts, i)
-        u1 = self._conj_parts(hi_parts, i)
-        r = self._decision(x, u0, u1, i)
-        self._memo_merge[key] = r
-        return r
+
+        def step(bigs):
+            union = 0
+            for p in bigs:
+                if union & vs[p]:
+                    raise DecompositionError("factors to merge share variables")
+                union |= vs[p]
+            first = min(bigs, key=self._minrank.__getitem__)
+            rest = [p for p in bigs if p != first]
+            halves = []
+            for half in (self._lo[first], self._hi[first]):
+                if half == FALSE:
+                    halves.append(FALSE)
+                    continue
+                # a cofactor whose factors still hold two oversized ones
+                # needs a merge of those first
+                smalls = []
+                big = list(rest)
+                for p in self._parts(half):
+                    (big if vs[p].bit_count() > i else smalls).append(p)
+                if len(big) >= 2:
+                    key = tuple(sorted(big))
+                    yield key
+                    smalls.append(memo[key])
+                else:
+                    smalls.extend(big)
+                halves.append(self._conj_parts(smalls, i))
+            memo[bigs] = self._decision(self._var[first], halves[0],
+                                        halves[1], i)
+
+        return _walk(bigs, memo, step)
 
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
@@ -476,45 +512,34 @@ class DiagramStore:
         have at most one child exceeding i essential variables; violating
         that raises BoundViolationError.
         """
-        if u <= TRUE:
-            return u
-        key = (u, i)
-        r = self._memo_decompose.get(key)
-        if r is not None:
-            return r
-        if self._kind[u] == KIND_DECISION:
-            r = self._decision(
-                self._var[u],
-                self.decompose(self._lo[u], i),
-                self.decompose(self._hi[u], i),
-                i,
-            )
-        else:
-            parts = []
-            dead = False
-            for c in self._kids[u]:
-                d = self.decompose(c, i)
-                if d == FALSE:
-                    dead = True
-                    break
-                if d == TRUE:
-                    continue
-                parts.extend(self._parts(d))
-            if dead:
-                r = FALSE
+        memo = self._memo_decompose.setdefault(i, {FALSE: FALSE, TRUE: TRUE})
+
+        def step(u):
+            if self._kind[u] == KIND_DECISION:
+                lo = self._lo[u]
+                hi = self._hi[u]
+                yield lo
+                yield hi
+                r = self._decision(self._var[u], memo[lo], memo[hi], i)
             else:
-                vs = self._vs
-                nbig = 0
-                for p in parts:
-                    if vs[p].bit_count() > i:
-                        nbig += 1
-                if nbig >= 2:
-                    raise BoundViolationError(
-                        f"conjunction vertex {u} has {nbig} children with "
-                        f"more than {i} variables")
-                r = self.make_conj(parts)
-        self._memo_decompose[key] = r
-        return r
+                r = FALSE
+                parts = []
+                for c in self._kids[u]:
+                    yield c
+                    if memo[c] == FALSE:
+                        break
+                    parts.extend(self._parts(memo[c]))
+                else:
+                    vs = self._vs
+                    nbig = sum(vs[p].bit_count() > i for p in parts)
+                    if nbig >= 2:
+                        raise BoundViolationError(
+                            f"conjunction vertex {u} has {nbig} children with "
+                            f"more than {i} variables")
+                    r = self.make_conj(parts)
+            memo[u] = r
+
+        return _walk(u, memo, step)
 
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.
@@ -522,30 +547,25 @@ class DiagramStore:
         Factors that already fit the target bound are kept verbatim; every
         oversized factor is converted and the survivors are re-merged.
         """
-        if u <= TRUE or self._vs[u].bit_count() <= i:
+        if self._vs[u].bit_count() <= i:
             return u
-        key = (u, i)
-        r = self._memo_convert.get(key)
-        if r is not None:
-            return r
-        if self._kind[u] == KIND_DECISION:
-            r = self._decision(
-                self._var[u],
-                self.convert_down(self._lo[u], i),
-                self.convert_down(self._hi[u], i),
-                i,
-            )
-        else:
-            vs = self._vs
+        memo = self._memo_convert.setdefault(i, {})
+        vs = self._vs
+
+        def step(u):
+            dec = self._kind[u] == KIND_DECISION
             parts = []
-            for c in self._kids[u]:
-                if vs[c].bit_count() <= i:
-                    parts.append(c)
-                else:
-                    parts.append(self.convert_down(c, i))
-            r = self._conj_parts(parts, i)
-        self._memo_convert[key] = r
-        return r
+            for c in (self._lo[u], self._hi[u]) if dec else self._kids[u]:
+                if vs[c].bit_count() > i:
+                    yield c
+                    c = memo[c]
+                parts.append(c)
+            if dec:
+                memo[u] = self._decision(self._var[u], parts[0], parts[1], i)
+            else:
+                memo[u] = self._conj_parts(parts, i)
+
+        return _walk(u, memo, step)
 
     # ------------------------------------------------------------------
     # operations (inputs and outputs canonical at bound i)
@@ -579,91 +599,149 @@ class DiagramStore:
         xbit = 1 << self.rank[x]
         if not self._vs[u] & xbit:
             return u
-        return self._restrict(u, x, xbit, b, i,
-                              self._memo_restrict.setdefault((x, b, i), {}))
-
-    def _restrict(self, u, x, xbit, b, i, cache):
-        # u mentions x, whose mask bit is xbit
-        r = cache.get(u)
-        if r is not None:
-            return r
+        if self._var[u] == x and self._kind[u] == KIND_DECISION:
+            return self._hi[u] if b else self._lo[u]
+        cache = self._memo_restrict.setdefault((x, b, i), {})
+        if u in cache:
+            return cache[u]
         vs = self._vs
-        if self._kind[u] == KIND_DECISION:
-            y = self._var[u]
-            lo = self._lo[u]
-            hi = self._hi[u]
-            if y == x:
-                r = hi if b else lo
+        var = self._var
+        kind = self._kind
+        pick = self._hi if b else self._lo
+
+        def step(u):
+            # u mentions x but does not branch on it; a child that branches
+            # on x is replaced by its branch here rather than given a frame;
+            # of a conjunction's children exactly one mentions x
+            dec = kind[u] == KIND_DECISION
+            parts = []
+            for c in (self._lo[u], self._hi[u]) if dec else self._kids[u]:
+                if vs[c] & xbit:
+                    if var[c] == x and kind[c] == KIND_DECISION:
+                        c = pick[c]
+                    else:
+                        yield c
+                        c = cache[c]
+                parts.append(c)
+            if dec:
+                cache[u] = self._decision(var[u], parts[0], parts[1], i)
             else:
-                if vs[lo] & xbit:
-                    lo = self._restrict(lo, x, xbit, b, i, cache)
-                if vs[hi] & xbit:
-                    hi = self._restrict(hi, x, xbit, b, i, cache)
-                r = self._decision(y, lo, hi, i)
-        else:
-            # exactly one child mentions x
-            parts = [self._restrict(c, x, xbit, b, i, cache) if vs[c] & xbit
-                     else c for c in self._kids[u]]
-            r = self._conj_parts(parts, i)
-        cache[u] = r
-        return r
+                cache[u] = self._conj_parts(parts, i)
+
+        return _walk(u, cache, step)
 
     def conjoin(self, u, v, i):
-        if u == FALSE or v == FALSE:
-            return FALSE
-        if u == TRUE:
-            return v
-        if v == TRUE:
-            return u
-        if u == v:
-            return u
-        if u > v:
-            u, v = v, u
-        key = (u, v, i)
-        memo = self._memo_and
-        r = memo.get(key)
-        if r is not None:
-            return r
-        vs_u = self._vs[u]
-        vs_v = self._vs[v]
-        if not vs_u & vs_v:
-            parts = list(self._parts(u))
-            parts.extend(self._parts(v))
-            r = self._conj_parts(parts, i)
-        elif i == 0 or (vs_u.bit_count() > 1 and vs_v.bit_count() > 1
-                        and self._kind[u] == KIND_DECISION
-                        and self._kind[v] == KIND_DECISION):
-            # at bound 0 both operands are plain, Shannon is all there is
-            r = self._shannon(self.conjoin, u, v, i)
-        else:
-            r = self._conjoin_factored(u, v, i)
-        memo[key] = r
-        return r
+        return self._apply(u, v, i, self._memo_and, FALSE, self._conjoin_split)
 
-    def _shannon(self, op, u, v, i):
-        """op(u, v) expanded on the earliest variable of either operand;
-        op is conjoin or disjoin."""
-        minrank = self._minrank
-        ru = minrank[u]
-        rv = minrank[v]
-        r = ru if ru < rv else rv
-        x = self.order.vars[r]
-        if ru == r:
-            u0, u1 = self._cofactor_top(u, i)
-        else:
-            u0, u1 = u, u
-        if rv == r:
-            v0, v1 = self._cofactor_top(v, i)
-        else:
-            v0, v1 = v, v
-        return self._decision(x, op(u0, v0, i), op(u1, v1, i), i)
+    def disjoin(self, u, v, i):
+        return self._apply(u, v, i, self._memo_or, TRUE, self._disjoin_split)
 
-    def _conjoin_factored(self, u, v, i):
-        # overlapping operands whose parts include a literal or a
-        # conjunction (i >= 1); peel the unit factors off both sides first,
-        # since conjoining with a literal is a linear conditioning pass
-        # rather than a Shannon expansion
+    def _apply(self, u, v, i, table, zero, split):
+        """Conjoin (zero FALSE) or disjoin (zero TRUE) on a frame stack.
+
+        zero absorbs and 1 - zero is neutral; the memo key puts the smaller
+        id first.  split(u, v, i), for a pair the memo lacks, returns its
+        result; or None to expand it on its earliest variable; or a triple
+        (a, b, then) for a pair whose result comes from the result r of
+        the pair (a, b): when then is a list of literals on variables not
+        in r, it is their conjunction with r; else it is then(r), unless
+        that is again such a triple.
+
+        Most pairs are expanded, and a frame kept in locals, pushed as a
+        tuple, costs less than a generator, so the apply keeps its own
+        frames rather than running on _walk.  The open frame's stage is 0
+        while its false cofactor pair runs, 1 while its true pair hi runs
+        (lo holds the false result), 2 while the pair of a triple runs.
+        """
+        memo = table.setdefault(i, {})
+        one = 1 - zero
         vs = self._vs
+        kind = self._kind
+        minrank = self._minrank
+        names = self.order.vars
+        cofactor = self._cofactor_top
+        stack = []
+        stage = -1  # no open frame
+        key = x = hi = lo = then = None
+        while True:
+            # resolve the pair (u, v) to r, or open a frame for it
+            if u == zero or v == zero:
+                r = zero
+            elif u == one:
+                r = v
+            elif v == one or u == v:
+                r = u
+            else:
+                if u > v:
+                    u, v = v, u
+                pair = (u, v)
+                r = memo.get(pair)
+                if r is None:
+                    # at bound 0, or for two overlapping decision vertices
+                    # of more than one variable each, there is no literal
+                    # factor or shared conjunct to take apart
+                    if not (vs[u] & vs[v] and (i == 0 or (
+                            kind[u] == KIND_DECISION and kind[v] == KIND_DECISION
+                            and vs[u].bit_count() > 1 and vs[v].bit_count() > 1))):
+                        r = split(u, v, i)
+                    if r.__class__ is int:
+                        memo[pair] = r
+                    else:
+                        if stage >= 0:
+                            stack.append((key, x, hi, lo, then, stage))
+                        key = pair
+                        if r is None:
+                            # expand on the earliest variable x of either
+                            ru = minrank[u]
+                            rv = minrank[v]
+                            top = ru if ru < rv else rv
+                            x = names[top]
+                            u, u1 = cofactor(u, i) if ru == top else (u, u)
+                            v, v1 = cofactor(v, i) if rv == top else (v, v)
+                            hi = (u1, v1)
+                            stage = 0
+                        else:
+                            u, v, then = r
+                            stage = 2
+                        continue
+            # hand r to the open frame until it asks for another pair
+            while True:
+                if stage == 0:
+                    lo = r
+                    stage = 1
+                    u, v = hi
+                    break
+                if stage == 1:
+                    r = memo[key] = self._decision(x, lo, r, i)
+                elif stage == 2:
+                    if then.__class__ is list:
+                        if r != FALSE:
+                            if r != TRUE:
+                                then.extend(self._parts(r))
+                            r = (then[0] if len(then) == 1
+                                 else self._intern_conj(then))
+                    else:
+                        r = then(r)
+                        if r.__class__ is tuple:
+                            u, v, then = r
+                            break
+                    memo[key] = r
+                else:
+                    return r
+                if stack:
+                    key, x, hi, lo, then, stage = stack.pop()
+                else:
+                    stage = -1
+
+    def _conjoin_split(self, u, v, i):
+        # disjoint operands, or overlapping ones whose parts include a
+        # literal or a conjunction (i >= 1); peel the unit factors off both
+        # sides first, since conjoining with a literal is a linear
+        # conditioning pass rather than a Shannon expansion.  None when the
+        # factors form a single block, left to Shannon expansion.
+        vs = self._vs
+        if not vs[u] & vs[v]:
+            return self._conj_parts([*self._parts(u), *self._parts(v)], i)
         var = self._var
         lo = self._lo
         pu = self._parts(u)
@@ -696,16 +774,8 @@ class DiagramStore:
                         return FALSE
                     side.append(p)
                 sides.append(side)
-            core = self.conjoin(self._conj_parts(sides[0], i),
-                                self._conj_parts(sides[1], i), i)
-            if core == FALSE:
-                return FALSE
-            out = list(lits.values())
-            if core != TRUE:
-                out.extend(self._parts(core))
-            if len(out) == 1:
-                return out[0]
-            return self._intern_conj(out)
+            return (self._conj_parts(sides[0], i),
+                    self._conj_parts(sides[1], i), list(lits.values()))
         if not rest_v:
             # every factor of v is also a factor of u
             return u
@@ -733,80 +803,54 @@ class DiagramStore:
                 hit[2].append(q)
             blocks = keep
         if len(blocks) == 1:
-            return self._shannon(self.conjoin, u, v, i)
-        results = []
+            return None
+        return self._conjoin_blocks(iter(blocks), [], i)
+
+    def _conjoin_blocks(self, blocks, results, i):
+        # conjoin the remaining blocks in turn: the triple for the next one
+        # that needs a conjoin, whose then() comes back here
         for _, a, b in blocks:
             if not b:
                 results.extend(a)
-                continue
-            if not a:
+            elif not a:
                 results.extend(b)
-                continue
-            sub = self.conjoin(a[0] if len(a) == 1 else self.make_conj(a),
-                               b[0] if len(b) == 1 else self.make_conj(b), i)
-            if sub == FALSE:
-                return FALSE
-            results.append(sub)
+            else:
+                def then(sub):
+                    if sub == FALSE:
+                        return FALSE
+                    results.append(sub)
+                    return self._conjoin_blocks(blocks, results, i)
+
+                return (a[0] if len(a) == 1 else self.make_conj(a),
+                        b[0] if len(b) == 1 else self.make_conj(b), then)
         return self._conj_parts(results, i)
 
-    def disjoin(self, u, v, i):
-        if u == TRUE or v == TRUE:
-            return TRUE
-        if u == FALSE:
-            return v
-        if v == FALSE:
-            return u
-        if u == v:
-            return u
-        if u > v:
-            u, v = v, u
-        key = (u, v, i)
-        memo = self._memo_or
-        r = memo.get(key)
-        if r is not None:
-            return r
+    def _disjoin_split(self, u, v, i):
+        # (C and A) or (C and B)  =  C and (A or B), where C shares no
+        # variable with A or B; None when the operands share no factor
         pu = self._parts(u)
         pv = self._parts(v)
-        if len(pu) > 1 or len(pv) > 1:
-            pv_set = set(pv)
-            shared = [p for p in pu if p in pv_set]
-            if shared:
-                # (C and A) or (C and B)  =  C and (A or B)
-                sset = set(shared)
-                a = self.make_conj([p for p in pu if p not in sset])
-                b = self.make_conj([p for p in pv if p not in sset])
-                r = self.conjoin(self.make_conj(shared),
-                                 self.disjoin(a, b, i), i)
-                memo[key] = r
-                return r
-        r = self._shannon(self.disjoin, u, v, i)
-        memo[key] = r
-        return r
+        shared = [p for p in pu if p in pv]
+        if not shared:
+            return None
+        a = self.make_conj([p for p in pu if p not in shared])
+        b = self.make_conj([p for p in pv if p not in shared])
+        c = self.make_conj(shared)
+        return a, b, lambda d: self._conj_parts([c, d], i)
 
     def negate(self, u, i):
-        if u == FALSE:
-            return TRUE
-        if u == TRUE:
-            return FALSE
-        key = (u, i)
-        memo = self._memo_not
-        r = memo.get(key)
-        if r is not None:
-            return r
-        if self._kind[u] == KIND_DECISION:
-            r = self._decision(
-                self._var[u],
-                self.negate(self._lo[u], i),
-                self.negate(self._hi[u], i),
-                i,
-            )
-        else:
-            # negation does not distribute over the factors; branch instead
-            x = self.order.vars[self._minrank[u]]
+        memo = self._memo_not.setdefault(i, {FALSE: TRUE, TRUE: FALSE})
+
+        def step(u):
+            # negation does not distribute over a conjunction's factors, so
+            # every vertex branches on its earliest variable
             u0, u1 = self._cofactor_top(u, i)
-            r = self._decision(x, self.negate(u0, i), self.negate(u1, i), i)
-        memo[key] = r
-        return r
+            yield u0
+            yield u1
+            memo[u] = self._decision(self.order.vars[self._minrank[u]],
+                                     memo[u0], memo[u1], i)
+
+        return _walk(u, memo, step)
 
     def condition(self, u, assignment, i):
         """Canonical form of u under a partial assignment (var -> bool)."""
@@ -825,26 +869,26 @@ class DiagramStore:
 
     def model_count(self, u):
         """Models over exactly vars_of(u); exact bigint arithmetic."""
-        if u == FALSE:
-            return 0
-        if u == TRUE:
-            return 1
-        r = self._memo_count.get(u)
-        if r is not None:
-            return r
+        memo = self._memo_count
         vs = self._vs
-        if self._kind[u] == KIND_DECISION:
-            nu = vs[u].bit_count()
-            lo = self._lo[u]
-            hi = self._hi[u]
-            r = (self.model_count(lo) * (1 << (nu - 1 - vs[lo].bit_count()))
-                 + self.model_count(hi) * (1 << (nu - 1 - vs[hi].bit_count())))
-        else:
-            r = 1
-            for c in self._kids[u]:
-                r *= self.model_count(c)
-        self._memo_count[u] = r
-        return r
+
+        def step(u):
+            if self._kind[u] == KIND_DECISION:
+                nu = vs[u].bit_count()
+                lo = self._lo[u]
+                hi = self._hi[u]
+                yield lo
+                yield hi
+                r = ((memo[lo] << (nu - 1 - vs[lo].bit_count()))
+                     + (memo[hi] << (nu - 1 - vs[hi].bit_count())))
+            else:
+                r = 1
+                for c in self._kids[u]:
+                    yield c
+                    r *= memo[c]
+            memo[u] = r
+
+        return _walk(u, memo, step)
 
     def sat_under(self, u, assignment):
         """Satisfiability of u restricted by a partial assignment.
@@ -852,36 +896,37 @@ class DiagramStore:
         Linear in the diagram: conjunction children range over disjoint
         variables, so their restrictions are independently satisfiable.
         """
-        return self._under(u, assignment, True, {})
+        return self._under(u, assignment, True)
 
     def valid_under(self, u, assignment):
         """Validity of u restricted by a partial assignment (dual walk)."""
-        return self._under(u, assignment, False, {})
+        return self._under(u, assignment, False)
 
-    def _under(self, u, assignment, settle, cache):
+    def _under(self, u, assignment, settle):
         # settle is the value one branch of a free decision vertex decides
         # on its own: True for satisfiability, False for validity;
         # conjunction children are independent, so each must hold
-        k = self._kind[u]
-        if k <= KIND_TRUE:
-            return k == KIND_TRUE
-        r = cache.get(u)
-        if r is not None:
-            return r
-        if k == KIND_DECISION:
-            x = self._var[u]
-            if x in assignment:
-                branch = self._hi[u] if assignment[x] else self._lo[u]
-                r = self._under(branch, assignment, settle, cache)
-            else:
-                r = self._under(self._lo[u], assignment, settle, cache)
+        cache = {FALSE: False, TRUE: True}
+
+        def step(u):
+            if self._kind[u] == KIND_DECISION:
+                x = self._var[u]
+                lo = self._lo[u]
+                hi = self._hi[u]
+                if x in assignment:  # only the assigned branch is left
+                    lo = hi = hi if assignment[x] else lo
+                yield lo
+                r = cache[lo]
                 if r != settle:
-                    r = self._under(self._hi[u], assignment, settle, cache)
-        else:
-            r = True
-            for c in self._kids[u]:
-                if not self._under(c, assignment, settle, cache):
-                    r = False
-                    break
-        cache[u] = r
-        return r
+                    yield hi
+                    r = cache[hi]
+            else:
+                r = True
+                for c in self._kids[u]:
+                    yield c
+                    if not cache[c]:
+                        r = False
+                        break
+            cache[u] = r
+
+        return _walk(u, cache, step)

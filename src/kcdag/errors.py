@@ -5,6 +5,10 @@ class KcdagError(Exception):
     """Base class for all kcdag errors."""
 
 
+class InputError(KcdagError, ValueError):
+    """An argument is out of range or names something that does not exist."""
+
+
 class DimacsError(KcdagError):
     """Malformed DIMACS CNF input."""
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from .cnf import CNF, Clause, Literal
+from .errors import InputError
 
 
 def chain_family(n: int, j: int, mode: str = "parity") -> CNF:
@@ -23,7 +24,7 @@ def chain_family(n: int, j: int, mode: str = "parity") -> CNF:
     for m = 2 and diverge from m = 3 on.
     """
     if n < 1 or j < 0:
-        raise ValueError("need n >= 1 and j >= 0")
+        raise InputError("need n >= 1 and j >= 0")
     m = j + 2
     cnf = CNF(n * m)
     for k in range(1, n + 1):
@@ -40,7 +41,7 @@ def chain_family(n: int, j: int, mode: str = "parity") -> CNF:
                 cnf.add_clause([-a, b])
                 cnf.add_clause([a, -b])
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            raise InputError(f"unknown mode {mode!r}")
     return cnf
 
 
@@ -48,7 +49,9 @@ def random_cnf(num_vars: int, num_clauses: int, width: int = 3, seed: int = 0) -
     """Uniform random k-CNF: each clause picks `width` distinct variables and
     independent signs.  Deterministic for a given seed."""
     if width > num_vars:
-        raise ValueError("clause width exceeds variable count")
+        raise InputError("clause width exceeds variable count")
+    if width < 0:
+        raise InputError("clause width must not be negative")
     rng = random.Random(seed)
     cnf = CNF(num_vars)
     for _ in range(num_clauses):

@@ -11,13 +11,14 @@ from typing import Iterable, Iterator, Mapping
 
 from .cnf import Literal
 from .engine import FALSE, TRUE, DiagramStore
-from .store import Bound, parse_bound
+from .errors import InputError
+from .store import INF, Bound, parse_bound
 
 
 def _check_vars(store: DiagramStore, variables: Iterable[int]) -> None:
     for v in variables:
         if v not in store.rank:
-            raise ValueError(f"variable {v} is not in this store's order")
+            raise InputError(f"variable {v} is not in this store's order")
 
 
 def conjoin(store: DiagramStore, u: int, v: int, bound: Bound) -> int:
@@ -75,8 +76,7 @@ def entails_clause(store: DiagramStore, u: int,
     for lit in clause:
         if not isinstance(lit, Literal):
             lit = Literal.from_int(lit)
-        if lit.var not in store.rank:
-            raise ValueError(f"variable {lit.var} is not in this store's order")
+        _check_vars(store, (lit.var,))
         if assignment.get(lit.var) == lit.positive:
             return True  # clause is tautological over this variable
         assignment[lit.var] = not lit.positive
@@ -90,8 +90,7 @@ def implied_by_term(store: DiagramStore, u: int,
     for lit in term:
         if not isinstance(lit, Literal):
             lit = Literal.from_int(lit)
-        if lit.var not in store.rank:
-            raise ValueError(f"variable {lit.var} is not in this store's order")
+        _check_vars(store, (lit.var,))
         if assignment.get(lit.var) == (not lit.positive):
             return True  # contradictory term entails everything
         assignment[lit.var] = lit.positive
@@ -102,7 +101,6 @@ def equivalent(store: DiagramStore, u: int, v: int) -> bool:
     """Semantic equivalence; canonical same-bound vertices simply compare ids."""
     if u == v:
         return True
-    from .store import INF
     return store.decompose(u, INF) == store.decompose(v, INF)
 
 
@@ -123,7 +121,7 @@ def model_count(store: DiagramStore, u: int,
     own = store.vars_of(u)
     missing = own - sc
     if missing:
-        raise ValueError(f"scope is missing diagram variables {sorted(missing)}")
+        raise InputError(f"scope is missing diagram variables {sorted(missing)}")
     return base << len(sc - own)
 
 
@@ -143,41 +141,37 @@ def enumerate_models(store: DiagramStore, u: int,
         _check_vars(store, sc)
         missing = own - set(sc)
         if missing:
-            raise ValueError(f"scope is missing diagram variables {sorted(missing)}")
+            raise InputError(f"scope is missing diagram variables {sorted(missing)}")
 
-    def walk(w: int) -> Iterator[dict[int, bool]]:
-        if w == FALSE:
-            return
-        if w == TRUE:
-            yield {}
-            return
-        if store.is_decision(w):
-            x = store.var_of(w)
-            for m in walk(store.lo(w)):
-                out = dict(m)
-                out[x] = False
-                yield out
-            for m in walk(store.hi(w)):
-                out = dict(m)
-                out[x] = True
-                yield out
-            return
-        kids = store.children(w)
-
-        def product(k: int) -> Iterator[dict[int, bool]]:
-            if k == len(kids):
-                yield {}
-                return
-            for head in walk(kids[k]):
-                for tail in product(k + 1):
-                    merged = dict(head)
-                    merged.update(tail)
-                    yield merged
-
-        yield from product(0)
+    def partials() -> Iterator[dict[int, bool]]:
+        # depth first over (vertices still to satisfy, choices so far), both
+        # as linked pairs; a decision vertex takes its false branch now and
+        # leaves the true branch on the stack, so the choices made last
+        # vary fastest
+        stack = [((u, None), None)]
+        while stack:
+            todo, chosen = stack.pop()
+            while todo is not None:
+                w, todo = todo
+                if w == FALSE:
+                    break
+                if store.is_decision(w):
+                    x = store.var_of(w)
+                    stack.append(((store.hi(w), todo), ((x, True), chosen)))
+                    todo = (store.lo(w), todo)
+                    chosen = ((x, False), chosen)
+                else:
+                    for c in reversed(store.children(w)):
+                        todo = (c, todo)
+            else:  # no false leaf reached: the choices form a model
+                partial = {}
+                while chosen is not None:
+                    (x, b), chosen = chosen
+                    partial[x] = b
+                yield partial
 
     emitted = 0
-    for partial in walk(u):
+    for partial in partials():
         free = [v for v in sc if v not in partial]
         for mask in range(1 << len(free)):
             model = dict(partial)

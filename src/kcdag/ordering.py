@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cnf import CNF
+from .errors import InputError
 
 
 class VariableOrder:
@@ -19,7 +20,7 @@ class VariableOrder:
     def __init__(self, variables: Sequence[int]):
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variable in order")
+            raise InputError("duplicate variable in order")
         self.vars: tuple[int, ...] = vs
         self.rank: dict[int, int] = {v: k for k, v in enumerate(vs)}
 

@@ -1,17 +1,15 @@
-"""Bound handling and convenience constructors around the engine.
+"""Bound handling around the engine.
 
 Vertex construction and every diagram operation live on
-kcdag.engine.DiagramStore; this module parses and formats bounds and makes
-fresh stores.
+kcdag.engine.DiagramStore; this module parses and formats bounds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Union
 
-from .engine import DiagramStore
-from .ordering import VariableOrder
+from .errors import InputError
 
 INF = math.inf
 
@@ -27,24 +25,18 @@ def parse_bound(value) -> Bound:
         try:
             value = int(text)
         except ValueError:
-            raise ValueError(f"bound must be a non-negative integer or 'inf', not {value!r}")
+            raise InputError(f"bound must be a non-negative integer or 'inf', not {value!r}")
     if isinstance(value, float):
         if value == INF:
             return INF
         if not value.is_integer():
-            raise ValueError(f"bound must be an integer or infinite, not {value!r}")
+            raise InputError(f"bound must be an integer or infinite, not {value!r}")
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"bound must be a non-negative integer or 'inf', not {value!r}")
+        raise InputError(f"bound must be a non-negative integer or 'inf', not {value!r}")
     return value
 
 
 def format_bound(bound: Bound) -> str:
     return "inf" if bound == INF else str(int(bound))
 
-
-def new_store(order: VariableOrder | Iterable[int]) -> DiagramStore:
-    """A fresh store over the given order (or variable sequence)."""
-    if not isinstance(order, VariableOrder):
-        order = VariableOrder(list(order))
-    return DiagramStore(order)

@@ -17,6 +17,7 @@ from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf, compile_via
 from kcdag.convert import convert_down
+from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ops import (
     condition,
@@ -31,7 +32,7 @@ from kcdag.ops import (
     negate,
 )
 from kcdag.ordering import min_fill_order, natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 from kcdag.validate import validate
 
 from conftest import (
@@ -66,7 +67,7 @@ def corpus():
     out = []
     for k in range(200):
         cnf = random_cnf(12, rng.randint(10, 30), seed=1000 + k)
-        store = new_store(natural_order(12))
+        store = DiagramStore(natural_order(12))
         roots = {b: compile_cnf(cnf, b, store=store)[1] for b in B5}
         for b in B5:
             _note(store, roots[b], b)
@@ -138,7 +139,7 @@ def test_criterion_3_succinctness_separation():
     at0, atinf = {}, {}
     for n in range(2, 10):
         cnf = chain_family(n, 0)
-        store = new_store(natural_order(cnf.num_vars))
+        store = DiagramStore(natural_order(cnf.num_vars))
         r0 = compile_cnf(cnf, 0, store=store)[1]
         ri = compile_cnf(cnf, INF, store=store)[1]
         _note(store, r0, 0)
@@ -162,7 +163,7 @@ def test_criterion_4_size_vs_bound_trend():
         for _ in range(25):
             cnf = random_cnf(20, m, seed=2000 + k)
             k += 1
-            store = new_store(min_fill_order(cnf))
+            store = DiagramStore(min_fill_order(cnf))
             for pos, b in enumerate(bounds):
                 root = compile_cnf(cnf, b, store=store)[1]
                 _note(store, root, b)
@@ -191,7 +192,7 @@ def test_criterion_5_conjoin_rapidity():
     def timed(cnf, bound):
         best = None
         for _ in range(3):
-            store = new_store(order)
+            store = DiagramStore(order)
             clk = time.process_time()
             compile_cnf(cnf, bound, store=store, schedule="ordered")
             dt = time.process_time() - clk
@@ -207,7 +208,7 @@ def test_criterion_5_conjoin_rapidity():
 
     nonequal = 0
     for cnf in instances:
-        store = new_store(order)
+        store = DiagramStore(order)
         r1 = compile_cnf(cnf, 1, store=store, schedule="ordered")[1]
         r0 = compile_cnf(cnf, 0, store=store, schedule="ordered")[1]
         _note(store, r0, 0)
@@ -241,7 +242,7 @@ def test_criterion_6_conversion_correctness(corpus):
 
 def test_criterion_7_algebraic_suite():
     t0 = time.perf_counter()
-    store = new_store(natural_order(10))
+    store = DiagramStore(natural_order(10))
     rng = random.Random(31337)
     failures = 0
     for t in range(1000):

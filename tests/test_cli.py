@@ -9,9 +9,10 @@ from kcdag.cli import run
 from kcdag.cnf import format_dimacs, parse_dimacs
 from kcdag.compiler import SCHEDULES, compile_cnf
 from kcdag.diagram_io import serialize
+from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 
 
 @pytest.fixture()
@@ -136,7 +137,7 @@ def test_validate_command(capsys, cnf_file, tmp_path):
     assert report["finest"] is True
 
     # a bound-2 diagram with a 2-child conjunction is not canonical at 1
-    store = new_store(natural_order(4))
+    store = DiagramStore(natural_order(4))
     xor12 = store.make_decision(1, store.literal(2), store.literal(2, False))
     xor34 = store.make_decision(3, store.literal(4), store.literal(4, False))
     conj = store.conjoin(xor12, xor34, 2)
@@ -182,12 +183,20 @@ def test_errors(capsys, tmp_path):
     with pytest.raises(SystemExit):
         run([])
     capsys.readouterr()
-    # too deep for the recursive engine: one error line, no traceback
+    # a 600-variable chain converts to bound 0 whatever its depth
     cnf = chain_family(1, 598, mode="all-equal")
     store, root = compile_cnf(cnf, 1, order=natural_order(cnf.num_vars))
     deep = tmp_path / "deep.kdag"
     deep.write_text(serialize(store, root, 1))
-    assert run(["convert", str(deep), "--bound", "0"]) == 1
+    down = tmp_path / "down.kdag"
+    assert run(["convert", str(deep), "--bound", "0", "-o", str(down)]) == 0
+    assert run(["count", str(down)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"models": "2"}
+    assert run(["apply", "and", str(deep)]) == 1  # second diagram missing
+    assert capsys.readouterr().err.startswith("error:")
+    # input that is not UTF-8: one error line, no traceback
+    binary = tmp_path / "binary.cnf"
+    binary.write_bytes(b"p cnf 2 1\n\xff\xfe 1 0\n")
+    assert run(["compile", str(binary), "--bound", "0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "recursion" in err[0]

@@ -7,16 +7,17 @@ import pytest
 from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import SCHEDULES, clause_diagram, compile_cnf, compile_via
+from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import VariableOrder, natural_order
 from kcdag.ops import model_count
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 
 from conftest import cnf_table, diagram_table, var_tables
 
 
 def test_clause_diagram_unit_and_binary():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     assert clause_diagram(store, [2]) == store.literal(2)
     assert clause_diagram(store, [-2]) == store.literal(2, False)
     # x1 or not x3: decide x1 first, low branch carries the x3 test
@@ -27,14 +28,14 @@ def test_clause_diagram_unit_and_binary():
 
 
 def test_clause_diagram_respects_store_rank():
-    store = new_store(VariableOrder([3, 1, 2]))
+    store = DiagramStore(VariableOrder([3, 1, 2]))
     d = clause_diagram(store, [1, 3])
     assert store.var_of(d) == 3
     assert store.lo(d) == store.literal(1)
 
 
 def test_clause_diagram_edge_cases():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     assert clause_diagram(store, []) == FALSE
     assert clause_diagram(store, [1, 1]) == store.literal(1)
     with pytest.raises(ValueError):
@@ -64,7 +65,7 @@ def test_tautological_clause_is_dropped():
     unit = CNF(2)
     unit.add_clause([2])
     for bound in (0, 1, INF):
-        store = new_store(natural_order(2))
+        store = DiagramStore(natural_order(2))
         want = compile_cnf(unit, bound, store=store)[1]
         for s in SCHEDULES:
             assert compile_cnf(taut, bound, store=store, schedule=s)[1] == want
@@ -87,7 +88,7 @@ def test_unknown_schedule_rejected():
 
 
 def test_order_conflict_rejected():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     with pytest.raises(ValueError):
         compile_cnf(CNF(3), 0, order=VariableOrder([3, 2, 1]), store=store)
     with pytest.raises(ValueError):
@@ -97,7 +98,7 @@ def test_order_conflict_rejected():
 def test_schedules_agree():
     for seed in range(8):
         cnf = random_cnf(10, 25, seed=seed)
-        store = new_store(natural_order(10))
+        store = DiagramStore(natural_order(10))
         for bound in (0, 1, 2, INF):
             roots = {
                 s: compile_cnf(cnf, bound, store=store, schedule=s)[1]
@@ -109,7 +110,7 @@ def test_schedules_agree():
 def test_compile_via_matches_compile():
     for seed in range(6):
         cnf = random_cnf(9, 20, seed=50 + seed)
-        store = new_store(natural_order(9))
+        store = DiagramStore(natural_order(9))
         for bound in (0, 1, 2, 3, INF):
             direct = compile_cnf(cnf, bound, store=store)[1]
             via = compile_via(cnf, bound, store=store)[1]

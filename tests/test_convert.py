@@ -11,10 +11,11 @@ import pytest
 from kcdag import FALSE, TRUE
 from kcdag.compiler import compile_cnf
 from kcdag.convert import convert, convert_down
+from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ops import disjoin, negate
 from kcdag.ordering import natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 
 from conftest import cnf_table, diagram_table, var_tables
 
@@ -56,7 +57,7 @@ def test_convert_down_equals_direct_compile():
     bounds = [0, 1, 2, 3, INF]
     for seed in range(10):
         cnf = random_cnf(8, 15, seed=40 + seed)
-        store = new_store(natural_order(8))
+        store = DiagramStore(natural_order(8))
         roots = {b: compile_cnf(cnf, b, store=store)[1] for b in bounds}
         for j, upper in enumerate(bounds):
             for lower in bounds[: j + 1]:
@@ -75,7 +76,7 @@ def test_convert_down_composes():
 
 def test_convert_raises_bound_via_decompose():
     cnf = random_cnf(8, 15, seed=3)
-    store = new_store(natural_order(8))
+    store = DiagramStore(natural_order(8))
     low = compile_cnf(cnf, 1, store=store)[1]
     high = compile_cnf(cnf, INF, store=store)[1]
     assert convert(store, low, 1, INF) == high
@@ -87,7 +88,7 @@ def test_convert_down_recurses_into_an_oversized_child():
     # g = not x1 or ((x2 xor x3) and (x4 xor x5)); at bound 2 the high
     # branch is a conjunction of two 2-var factors, which bound 1 forbids
     # anywhere in the diagram, not just at the root.
-    store = new_store(natural_order(5))
+    store = DiagramStore(natural_order(5))
     xor23 = store.make_decision(2, store.literal(3), store.literal(3, False))
     xor45 = store.make_decision(4, store.literal(5), store.literal(5, False))
     f = store.conjoin(xor23, xor45, 2)
@@ -107,7 +108,7 @@ def test_convert_down_recurses_into_an_oversized_child():
 def test_chain_family_conversion_chain():
     # each chain spans 3 variables, so the split first appears at bound 3
     cnf = chain_family(2, 1)
-    store = new_store(natural_order(cnf.num_vars))
+    store = DiagramStore(natural_order(cnf.num_vars))
     roots = {b: compile_cnf(cnf, b, store=store)[1] for b in (0, 1, 2, 3, INF)}
     assert not store.is_conj(roots[2])
     assert store.is_conj(roots[3])
@@ -117,7 +118,7 @@ def test_chain_family_conversion_chain():
 
 
 def test_leaves_convert_to_themselves():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     for b in (0, 1, INF):
         assert convert_down(store, TRUE, b) == TRUE
         assert convert_down(store, FALSE, b) == FALSE

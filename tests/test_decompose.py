@@ -1,5 +1,6 @@
-"""Canonicalization and the three extraction rules.
+"""Canonicalization and the three extraction rules it applies.
 
+Each rule is exercised through decompose() of a raw decision vertex.
 Semantic expectations are pinned with truth tables (conftest helpers); the
 structural expectations are worked out from the rules themselves.
 """
@@ -9,10 +10,11 @@ import pytest
 from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
-from kcdag.decompose import decompose, extract_leaf, extract_part, extract_share, finest
+from kcdag.decompose import decompose, finest
+from kcdag.engine import DiagramStore
 from kcdag.families import random_cnf
 from kcdag.ordering import natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 from kcdag.validate import validate
 
 from conftest import cnf_table, diagram_table, var_tables
@@ -20,7 +22,7 @@ from conftest import cnf_table, diagram_table, var_tables
 
 @pytest.fixture
 def store():
-    return new_store(natural_order(6))
+    return DiagramStore(natural_order(6))
 
 
 def xor_vertex(store, a, b):
@@ -30,30 +32,18 @@ def xor_vertex(store, a, b):
 
 def test_extract_leaf_factors_the_guard_literal(store):
     hi = store.literal(2)
-    u = extract_leaf(store, 1, FALSE, hi, 1)
+    u = decompose(store, store.make_decision(1, FALSE, hi), 1)
     assert store.is_conj(u)
     assert set(store.children(u)) == {store.literal(1), store.literal(2)}
     # mirrored: the true branch being false factors a negative literal
-    v = extract_leaf(store, 1, hi, FALSE, 1)
+    v = decompose(store, store.make_decision(1, hi, FALSE), 1)
     assert set(store.children(v)) == {store.literal(1, False), store.literal(2)}
-
-
-def test_extract_leaf_guards(store):
-    hi = store.literal(2)
-    with pytest.raises(ValueError):
-        extract_leaf(store, 1, FALSE, hi, 0)  # no conjunctions at bound 0
-    with pytest.raises(ValueError):
-        extract_leaf(store, 1, hi, store.literal(3), 1)  # no false branch
-    with pytest.raises(ValueError):
-        extract_leaf(store, 1, FALSE, TRUE, 1)  # bare literal, nothing to do
-    with pytest.raises(ValueError):
-        extract_leaf(store, 3, FALSE, store.literal(2), 1)  # order violation
 
 
 def test_extract_part_pulls_out_the_shared_branch(store):
     part = store.literal(2)
     whole = store.make_conj([part, store.literal(3)])
-    u = extract_part(store, 1, part, whole, INF)
+    u = decompose(store, store.make_decision(1, part, whole), INF)
     # <x1, p, p AND r>  =  p AND <x1, true, r>
     assert store.is_conj(u)
     kids = set(store.children(u))
@@ -65,26 +55,23 @@ def test_extract_part_pulls_out_the_shared_branch(store):
 
 
 def test_extract_part_respects_the_bound(store):
-    # both factors exceed bound 1, so the vertex must stay a plain decision
+    # both factors exceed bound 1, so the vertex must stay a plain decision;
+    # whole has two 2-variable children, so it is not canonical at bound 1
+    # and the rule is applied to the branches directly
     part = xor_vertex(store, 2, 3)
     whole = store.make_conj([part, xor_vertex(store, 4, 5)])
-    u = extract_part(store, 1, part, whole, 1)
+    u = store._decision(1, part, whole, 1)
     assert store.is_decision(u)
     assert store.var_of(u) == 1
-    at2 = extract_part(store, 1, part, whole, 2)
+    at2 = decompose(store, store.make_decision(1, part, whole), 2)
     assert store.is_conj(at2)
-
-
-def test_extract_part_requires_membership(store):
-    with pytest.raises(ValueError):
-        extract_part(store, 1, store.literal(2), store.literal(3), INF)
 
 
 def test_extract_share_factors_common_children(store):
     a, b, c = store.literal(2), store.literal(3), store.literal(4)
     lo = store.make_conj([a, b])
     hi = store.make_conj([a, c])
-    u = extract_share(store, 1, lo, hi, INF)
+    u = decompose(store, store.make_decision(1, lo, hi), INF)
     assert store.is_conj(u)
     kids = set(store.children(u))
     assert a in kids
@@ -107,7 +94,7 @@ def test_extract_share_on_subset_children_keeps_the_decision(store):
     a, b, c = store.literal(2), store.literal(3), store.literal(4)
     lo = store.make_conj([a, b])
     hi = store.make_conj([a, b, c])
-    u = extract_share(store, 1, lo, hi, INF)
+    u = decompose(store, store.make_decision(1, lo, hi), INF)
     assert u != lo
     vt = var_tables(range(1, 5))
     scope = range(1, 5)
@@ -116,13 +103,6 @@ def test_extract_share_on_subset_children_keeps_the_decision(store):
             | (vt[(1, True)] & cnf_table(cnf_and([2, 3, 4]), scope, vt)))
     assert diagram_table(store, u, scope) == want
     assert diagram_table(store, lo, scope) != want
-
-
-def test_extract_share_requires_common_children(store):
-    lo = store.make_conj([store.literal(2), store.literal(3)])
-    hi = store.make_conj([store.literal(4), store.literal(5)])
-    with pytest.raises(ValueError):
-        extract_share(store, 1, lo, hi, INF)
 
 
 def test_decompose_splits_a_conjunction_of_literals(store):

@@ -3,6 +3,7 @@
 import pytest
 
 from kcdag.cnf import oracle_count, oracle_models
+from kcdag.errors import InputError
 from kcdag.families import chain_family, random_cnf
 
 
@@ -28,6 +29,8 @@ def test_random_cnf_shape_and_determinism():
 def test_random_cnf_width_check():
     with pytest.raises(ValueError):
         random_cnf(2, 5, width=3)
+    with pytest.raises(InputError):  # a typed error, not random.sample's
+        random_cnf(2, 5, width=-1)
 
 
 def test_single_link_chain_is_biconditional():

@@ -7,15 +7,16 @@ import pytest
 from kcdag import FALSE, TRUE
 from kcdag.compiler import compile_cnf, compile_via
 from kcdag.diagram_io import deserialize, export_dot, serialize
+from kcdag.engine import DiagramStore
 from kcdag.errors import SerializationError
 from kcdag.families import chain_family, random_cnf
 from kcdag.ops import forget
 from kcdag.ordering import natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 
 
 def biconditional_store():
-    store = new_store(natural_order(2))
+    store = DiagramStore(natural_order(2))
     root = store.make_decision(1, store.literal(2, False), store.literal(2))
     return store, root
 
@@ -54,7 +55,7 @@ def test_round_trip_fresh_store():
 
 
 def test_round_trip_conjunction_and_leaves():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     u = store.make_conj([store.literal(1), store.literal(3, False)])
     for root in (u, TRUE, FALSE):
         text = serialize(store, root, 1)
@@ -65,7 +66,7 @@ def test_round_trip_conjunction_and_leaves():
 def test_deserialize_rejects_order_mismatch():
     store, root = biconditional_store()
     text = serialize(store, root, 0)
-    other = new_store(natural_order(3))
+    other = DiagramStore(natural_order(3))
     with pytest.raises(SerializationError):
         deserialize(text, store=other)
 

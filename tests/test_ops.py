@@ -7,6 +7,7 @@ import pytest
 from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
+from kcdag.engine import DiagramStore
 from kcdag.families import random_cnf
 from kcdag.ops import (
     condition,
@@ -24,7 +25,7 @@ from kcdag.ops import (
     negate,
 )
 from kcdag.ordering import natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 
 from conftest import (
     clause_sat_table,
@@ -56,7 +57,7 @@ def vt8():
 
 def _compiled_pair(seed, vt8):
     bound = BOUNDS[seed % len(BOUNDS)]
-    store = new_store(natural_order(8))
+    store = DiagramStore(natural_order(8))
     a = random_cnf(8, 12, seed=seed)
     b = random_cnf(8, 10, seed=1000 + seed)
     u = compile_cnf(a, bound, store=store)[1]
@@ -80,7 +81,7 @@ def test_conjoin_equals_compiling_the_union():
         a = random_cnf(8, 10, seed=seed)
         b = random_cnf(8, 8, seed=100 + seed)
         for bound in BOUNDS:
-            store = new_store(natural_order(8))
+            store = DiagramStore(natural_order(8))
             u = compile_cnf(a, bound, store=store)[1]
             v = compile_cnf(b, bound, store=store)[1]
             both = CNF(8, list(a.clauses) + list(b.clauses))
@@ -139,7 +140,7 @@ def test_model_count_and_scope(vt8):
         assert model_count(store, u) == store.model_count(u)
         assert model_count(store, u, SCOPE) == \
             model_count(store, u, own) << (8 - len(own))
-    store = new_store(natural_order(8))
+    store = DiagramStore(natural_order(8))
     root = compile_cnf(random_cnf(8, 12, seed=0), 1, store=store)[1]
     with pytest.raises(ValueError):
         model_count(store, root, [1, 2])  # scope misses diagram variables
@@ -197,7 +198,7 @@ def test_term_implication_against_tables(vt8):
 
 def test_equivalence_and_entailment(vt8):
     cnf = random_cnf(8, 14, seed=9)
-    store = new_store(natural_order(8))
+    store = DiagramStore(natural_order(8))
     u0 = compile_cnf(cnf, 0, store=store)[1]
     u3 = compile_cnf(cnf, 3, store=store)[1]
     assert equivalent(store, u0, u3)
@@ -209,7 +210,7 @@ def test_equivalence_and_entailment(vt8):
 
 
 def test_consistency_validity_flags():
-    store = new_store(natural_order(2))
+    store = DiagramStore(natural_order(2))
     assert is_consistent(store, TRUE)
     assert not is_consistent(store, FALSE)
     assert is_valid(store, TRUE)
@@ -218,7 +219,7 @@ def test_consistency_validity_flags():
 
 
 def test_variable_checks_on_transformations():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     with pytest.raises(ValueError):
         condition(store, TRUE, {7: True}, 0)
     with pytest.raises(ValueError):

@@ -3,18 +3,18 @@
 import pytest
 
 from kcdag import FALSE, TRUE
-from kcdag.engine import KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE
+from kcdag.engine import DiagramStore, KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.errors import DecompositionError, OrderViolationError
 from kcdag.families import random_cnf
 from kcdag.ordering import VariableOrder, natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 
 
 @pytest.fixture
 def store():
-    return new_store(natural_order(6))
+    return DiagramStore(natural_order(6))
 
 
 def test_leaves_are_preinterned(store):
@@ -151,7 +151,7 @@ def test_evaluate_deep_chain():
     # x1 AND ... AND x5000 as a raw decision chain, far deeper than the
     # recursion limit
     n = 5000
-    store = new_store(natural_order(n))
+    store = DiagramStore(natural_order(n))
     u = TRUE
     for x in range(n, 0, -1):
         u = store.make_decision(x, FALSE, u)
@@ -169,7 +169,7 @@ def test_condition_rejects_unknown_variable(store):
 
 def test_permuted_order_keeps_ranks_and_names_apart():
     # ranks 5:0, 2:1, 9:2, 7:3, so no variable's rank is its name minus 1
-    store = new_store(VariableOrder([5, 2, 9, 7]))
+    store = DiagramStore(VariableOrder([5, 2, 9, 7]))
     d = store.make_decision(2, store.literal(9, False), store.literal(7))
     assert store.vars_of(d) == frozenset({2, 9, 7})
     c = store.make_conj([store.literal(5), store.literal(7, False)])

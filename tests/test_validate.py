@@ -2,9 +2,10 @@
 
 from kcdag import FALSE, TRUE
 from kcdag.compiler import compile_cnf
+from kcdag.engine import DiagramStore
 from kcdag.families import random_cnf
 from kcdag.ordering import natural_order
-from kcdag.store import INF, new_store
+from kcdag.store import INF
 from kcdag.validate import DEFAULT_SEMANTIC_LIMIT, validate
 
 
@@ -13,7 +14,7 @@ def _xor(store, a, b):
 
 
 def test_leaves_validate():
-    store = new_store(natural_order(2))
+    store = DiagramStore(natural_order(2))
     for leaf in (TRUE, FALSE):
         report = validate(store, leaf, 0)
         assert report.ok
@@ -24,7 +25,7 @@ def test_leaves_validate():
 def test_compiled_diagrams_validate_at_their_bound():
     for seed in range(6):
         cnf = random_cnf(8, 16, seed=seed)
-        store = new_store(natural_order(8))
+        store = DiagramStore(natural_order(8))
         caches: dict = {}
         for bound in (0, 1, 2, INF):
             root = compile_cnf(cnf, bound, store=store)[1]
@@ -38,7 +39,7 @@ def test_compiled_diagrams_validate_at_their_bound():
 def test_undecomposed_conjunction_fails_the_finest_check():
     # x1 and x2 as a bare decision chain is canonical at bound 0 but hides
     # a factoring every positive bound must surface.
-    store = new_store(natural_order(2))
+    store = DiagramStore(natural_order(2))
     chain = store.make_decision(1, FALSE, store.literal(2))
     assert validate(store, chain, 0).ok
     report = validate(store, chain, INF)
@@ -49,7 +50,7 @@ def test_undecomposed_conjunction_fails_the_finest_check():
 
 
 def test_parity_is_finest_everywhere():
-    store = new_store(natural_order(3))
+    store = DiagramStore(natural_order(3))
     xor23 = _xor(store, 2, 3)
     xnor23 = store.make_decision(2, store.literal(3, False), store.literal(3))
     root = store.make_decision(1, xor23, xnor23)
@@ -58,7 +59,7 @@ def test_parity_is_finest_everywhere():
 
 
 def test_bound_violation_is_reported():
-    store = new_store(natural_order(4))
+    store = DiagramStore(natural_order(4))
     conj = store.conjoin(_xor(store, 1, 2), _xor(store, 3, 4), 2)
     assert store.is_conj(conj)
     assert validate(store, conj, 2).ok
@@ -80,7 +81,7 @@ def test_semantic_limit_gates_the_exact_pass():
 
 
 def test_summary_mentions_every_flag():
-    store = new_store(natural_order(2))
+    store = DiagramStore(natural_order(2))
     text = validate(store, store.literal(1), 0).summary()
     for part in ("ordered=True", "reduced=True", "bounded=True", "finest=True"):
         assert part in text
