@@ -218,6 +218,8 @@ def _cmd_validate(args) -> int:
         "reduced": report.reduced_ok,
         "bounded": report.bounded_ok,
         "finest": report.decomposition_finest_ok,
+        "exact_checked": report.exact_checked,
+        "skipped": report.skipped,
         "offending": {k: int(v) for k, v in report.offending.items()},
         "ok": report.ok,
     }))

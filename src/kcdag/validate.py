@@ -2,24 +2,26 @@
 
 The structural pass is linear and always runs: ordering, reduction,
 uniqueness, flat/disjoint/sorted conjunctions, and the bound on oversized
-children.  The semantic pass proves canonicity outright for vertices small
-enough to enumerate: a decision vertex must admit no in-bound factoring at
-all, and a conjunction vertex's children must each be an independent factor
-of its function.  Vertices above `semantic_limit` variables are skipped, and
-the report says so.
+children.  The semantic pass proves canonicity outright for vertices of at
+most `semantic_limit` variables: it computes each vertex's finest
+disjoint-support partition from its cofactors' partitions, on truth tables
+held as ints, and a decision vertex must expose no in-bound block.  Larger
+vertices are skipped, and the report counts both kinds.
+
+Both passes read only the vertices' fields and the store's ranks; no engine
+operation is called, so a bug in the engine cannot hide itself here.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cache
 from typing import Union
 
-from .engine import KIND_CONJ, KIND_DECISION, DiagramStore
+from .engine import FALSE, KIND_CONJ, KIND_DECISION, TRUE, DiagramStore
 from .store import Bound, parse_bound
 
-# exact-check gate: 2^12 masks is cheap, 2^20 is not
+# exact-check gate on a vertex's variable count
 DEFAULT_SEMANTIC_LIMIT = 12
 
 
@@ -32,6 +34,8 @@ class ValidationReport:
     reduced_ok: bool = True
     bounded_ok: bool = True
     decomposition_finest_ok: Union[bool, str] = True  # True / False / "skipped"
+    exact_checked: int = 0  # decision/conjunction vertices within the limit
+    skipped: int = 0        # decision/conjunction vertices above it
     offending: dict = field(default_factory=dict)
 
     @property
@@ -49,133 +53,66 @@ class ValidationReport:
         return f"root {self.root} @bound {self.bound}: " + " ".join(flags)
 
 
-def _models(store: DiagramStore, u: int, cache: dict):
-    """(sorted vars tuple, frozenset of bitmasks) of u's models, bottom-up.
+# A block is (rank mask, table).  The table is an int of 2^n bits over the
+# block's n variables: bit m is the value under the assignment whose bit j
+# sets the variable j places from the deepest one, so the top variable is
+# the index's high bit and its cofactors are the table's two halves.
 
-    Bit k of a mask is the value of the k-th variable in the tuple.
+@cache
+def _runs(width: int, run: int) -> int:
+    """`width` bits of `run` ones then `run` zeros, repeating from bit 0."""
+    return ((1 << width) - 1) // ((1 << 2 * run) - 1) * ((1 << run) - 1)
+
+
+def _insert(t: int, n: int, p: int) -> int:
+    """Table over n variables -> n+1, with a don't-care at index bit p."""
+    w = 1 << p
+    # spread the 2^(n-p) chunks of w bits to stride 2w, halving the
+    # shift each step, then copy every chunk into the gap above it
+    for k in range(n - p - 1, -1, -1):
+        s = w << k
+        t = (t | (t << s)) & _runs(2 << n, s)
+    return t | (t << w)
+
+
+def _embed(t: int, bmask: int, mask: int) -> int:
+    """A block's table re-expressed over the larger variable set `mask`."""
+    n = bmask.bit_count()
+    missing = mask & ~bmask
+    while missing:
+        # deepest first: every variable below has its index bit already
+        b = missing.bit_length() - 1
+        t = _insert(t, n, (mask >> (b + 1)).bit_count())
+        n += 1
+        missing ^= 1 << b
+    return t
+
+
+def _conjoin_into(blocks, mask: int) -> int:
+    half = (1 << (1 << mask.bit_count())) - 1
+    for bmask, t in blocks:
+        half &= _embed(t, bmask, mask)
+    return half
+
+
+def _shannon_blocks(xbit: int, lo_blocks: tuple, hi_blocks: tuple) -> tuple:
+    """Finest partition of <x, lo, hi> from its non-false branches' ones.
+
+    Blocks common to both branches factor out; x and everything else form
+    one indecomposable block (a factor not containing x would be common).
+    If every block is common, x is inessential and the function is lo's.
     """
-    hit = cache.get(u)
-    if hit is not None:
-        return hit
-    k = store.kind(u)
-    if k == KIND_DECISION:
-        vt = tuple(sorted(store.vars_of(u)))
-        x = store.var_of(u)
-        xbit = 1 << vt.index(x)
-        masks = set()
-        for branch, phase in ((store.lo(u), 0), (store.hi(u), xbit)):
-            bt, bmodels = _models(store, branch, cache)
-            pos = {v: vt.index(v) for v in bt}
-            free = [1 << p for p, v in enumerate(vt) if v != x and v not in bt]
-            base_masks = []
-            for m in bmodels:
-                out = 0
-                for idx, v in enumerate(bt):
-                    if (m >> idx) & 1:
-                        out |= 1 << pos[v]
-                base_masks.append(out | phase)
-            # expand variables skipped on this branch
-            for bm in base_masks:
-                for sel in range(1 << len(free)):
-                    pad = 0
-                    for j, bit in enumerate(free):
-                        if (sel >> j) & 1:
-                            pad |= bit
-                    masks.add(bm | pad)
-        result = (vt, frozenset(masks))
-    elif k == KIND_CONJ:
-        vt = tuple(sorted(store.vars_of(u)))
-        masks = {0}
-        for c in store.children(u):
-            ct, cmodels = _models(store, c, cache)
-            shifts = {idx: vt.index(v) for idx, v in enumerate(ct)}
-            embedded = []
-            for m in cmodels:
-                out = 0
-                for idx in shifts:
-                    if (m >> idx) & 1:
-                        out |= 1 << shifts[idx]
-                embedded.append(out)
-            masks = {a | b for a in masks for b in embedded}
-        result = (vt, frozenset(masks))
-    else:
-        result = ((), frozenset([0]) if u == 1 else frozenset())
-    cache[u] = result
-    return result
-
-
-def _side_is_factor(models_list, models_set, smask, rmask, rng) -> bool:
-    """Is the variable set behind smask an independent factor of the function?
-
-    A few random cross-combinations reject most non-factors immediately; the
-    projection-count identity then decides exactly.
-    """
-    n = len(models_list)
-    if n == 0:
-        return True
-    for _ in range(8):
-        m1 = models_list[rng.randrange(n)]
-        m2 = models_list[rng.randrange(n)]
-        if ((m1 & smask) | (m2 & rmask)) not in models_set:
-            return False
-    left = {m & smask for m in models_list}
-    right = {m & rmask for m in models_list}
-    return len(left) * len(right) == len(models_list)
-
-
-def _decision_is_finest(store, u, i, cache, rng) -> bool:
-    """No in-bound factoring may exist for a canonical decision vertex."""
-    vt, models = _models(store, u, cache)
-    n = len(vt)
-    if n <= 1:
-        return True
-    models_list = list(models)
-    full = (1 << n) - 1
-    limit = n - 1 if i == float("inf") else min(int(i), n - 1)
-    if limit >= n - 1:
-        # any factoring at all disqualifies; one side always contains bit 0
-        for smask in _all_sides(n):
-            if _side_is_factor(models_list, models, smask, full ^ smask, rng):
-                return False
-        return True
-    for sz in range(1, limit + 1):
-        for combo in combinations(range(n), sz):
-            smask = 0
-            for p in combo:
-                smask |= 1 << p
-            if _side_is_factor(models_list, models, smask, full ^ smask, rng):
-                return False
-    return True
-
-
-def _all_sides(n: int):
-    """Every bipartition side containing position 0, excluding the full set."""
-    full = (1 << n) - 1
-    for rest in range(1 << (n - 1)):
-        smask = (rest << 1) | 1
-        if smask != full:
-            yield smask
-
-
-def _conj_is_finest(store, u, i, cache, rng) -> bool:
-    """Each child's variables must be an independent factor of the parent.
-
-    Together with every child decision vertex passing its own check, this
-    pins the children to exactly the finest in-bound factoring.
-    """
-    vt, models = _models(store, u, cache)
-    if not models:
-        return False  # conjunction vertices are never unsatisfiable
-    models_list = list(models)
-    pos = {v: k for k, v in enumerate(vt)}
-    full = (1 << len(vt)) - 1
-    for c in store.children(u):
-        smask = 0
-        for v in store.vars_of(c):
-            smask |= 1 << pos[v]
-        if not _side_is_factor(models_list, models, smask, full ^ smask, rng):
-            return False
-    return True
+    common = set(lo_blocks).intersection(hi_blocks)
+    lo_rest = [b for b in lo_blocks if b not in common]
+    hi_rest = [b for b in hi_blocks if b not in common]
+    if not lo_rest and not hi_rest:
+        return lo_blocks
+    rest = 0
+    for bmask, _ in lo_rest + hi_rest:
+        rest |= bmask
+    table = (_conjoin_into(lo_rest, rest)
+             | _conjoin_into(hi_rest, rest) << (1 << rest.bit_count()))
+    return tuple(b for b in lo_blocks if b in common) + ((xbit | rest, table),)
 
 
 def validate(store: DiagramStore, root: int, bound: Bound,
@@ -183,93 +120,109 @@ def validate(store: DiagramStore, root: int, bound: Bound,
              caches: dict | None = None) -> ValidationReport:
     """Check that the diagram rooted at `root` is canonical for `bound`.
 
-    `caches` may be shared across calls on the same store to reuse model
-    sets and per-bound finest verdicts between overlapping diagrams.
+    `caches` maps vertex -> finest blocks.  Blocks do not depend on the
+    bound, so one dict may be shared across calls on the same store.
     """
     i = parse_bound(bound)
     topo = store.topological(root)
     report = ValidationReport(bound=i, root=root, vertex_count=len(topo))
     rank = store.rank
+    masks: dict = {}
     seen_keys: dict = {}
-    rng = random.Random(0xC0FFEE)
 
     for u in topo:
         k = store.kind(u)
         if k == KIND_DECISION:
             x = store.var_of(u)
             lo, hi = store.lo(u), store.hi(u)
+            below = masks[lo] | masks[hi]
             r = rank.get(x)
-            if r is None or r >= store.min_rank(lo) or r >= store.min_rank(hi):
+            if r is None or below & ((2 << r) - 1):
                 report.ordered_ok = False
                 report.offending.setdefault("ordered", u)
+            masks[u] = below if r is None else below | (1 << r)
             if lo == hi:
                 report.reduced_ok = False
                 report.offending.setdefault("reduced", u)
             key = (KIND_DECISION, x, lo, hi)
-            if key in seen_keys and seen_keys[key] != u:
-                report.reduced_ok = False
-                report.offending.setdefault("duplicate", u)
-            seen_keys[key] = u
         elif k == KIND_CONJ:
             kids = store.children(u)
             if len(kids) < 2:
                 report.bounded_ok = False
                 report.offending.setdefault("conj-arity", u)
-            total = 0
-            union: set = set()
-            nbig = 0
-            last_rank = -1
+            union = nbig = last_low = 0
             for c in kids:
-                if not store.is_decision(c):
+                if store.kind(c) != KIND_DECISION:
                     report.bounded_ok = False
                     report.offending.setdefault("conj-child-kind", u)
-                cvs = store.vars_of(c)
-                total += len(cvs)
-                union |= cvs
-                if len(cvs) > i:
-                    nbig += 1
-                if store.min_rank(c) <= last_rank:
+                cm = masks[c]
+                if union & cm:
+                    report.bounded_ok = False
+                    report.offending.setdefault("conj-overlap", u)
+                union |= cm
+                nbig += cm.bit_count() > i
+                # a child's lowest rank bit is its top variable
+                if (cm & -cm) <= last_low:
                     report.bounded_ok = False
                     report.offending.setdefault("conj-child-order", u)
-                last_rank = store.min_rank(c)
-            if total != len(union):
-                report.bounded_ok = False
-                report.offending.setdefault("conj-overlap", u)
+                last_low = cm & -cm
             if nbig > 1:
                 report.bounded_ok = False
                 report.offending.setdefault("bound", u)
+            masks[u] = union
             key = (KIND_CONJ, kids)
-            if key in seen_keys and seen_keys[key] != u:
-                report.reduced_ok = False
-                report.offending.setdefault("duplicate", u)
-            seen_keys[key] = u
+        else:
+            masks[u] = 0
+            continue
+        if seen_keys.setdefault(key, u) != u:
+            report.reduced_ok = False
+            report.offending.setdefault("duplicate", u)
 
     if not (report.ordered_ok and report.reduced_ok and report.bounded_ok):
         report.decomposition_finest_ok = False
         return report
 
-    cache = caches if caches is not None else {}
-    skipped = False
+    blocks_of = caches if caches is not None else {}
+    blocks_of[TRUE] = ()
     for u in topo:
         k = store.kind(u)
-        if k not in (KIND_DECISION, KIND_CONJ):
+        if k != KIND_DECISION and k != KIND_CONJ:
             continue
-        if len(store.vars_of(u)) > semantic_limit:
-            skipped = True
+        mask = masks[u]
+        if mask.bit_count() > semantic_limit:
+            report.skipped += 1
             continue
-        # the verdict is exact, so it can be memoized per (vertex, bound)
-        vkey = ("finest", u, i)
-        ok = cache.get(vkey)
-        if ok is None:
-            if k == KIND_DECISION:
-                ok = _decision_is_finest(store, u, i, cache, rng)
+        report.exact_checked += 1
+        if k == KIND_CONJ:
+            # No verdict of its own: the structural pass gave it decision
+            # children on disjoint variables with at most one above i, and
+            # each child's own verdict says a child of at most i variables
+            # is one block and the big child merges only blocks above i.
+            # So the children are the finest in-bound factoring.
+            if u not in blocks_of:
+                blocks_of[u] = sum(
+                    (blocks_of[c] for c in store.children(u)), ())
+            continue
+        blocks = blocks_of.get(u)
+        if blocks is None:
+            lo, hi = store.lo(u), store.hi(u)
+            xbit = 1 << rank[store.var_of(u)]
+            if lo == FALSE:
+                blocks = ((xbit, 2),) + blocks_of[hi]
+            elif hi == FALSE:
+                blocks = ((xbit, 1),) + blocks_of[lo]
             else:
-                ok = _conj_is_finest(store, u, i, cache, rng)
-            cache[vkey] = ok
-        if not ok:
+                blocks = _shannon_blocks(xbit, blocks_of[lo], blocks_of[hi])
+            blocks_of[u] = blocks
+        essential = 0
+        for bmask, _ in blocks:
+            essential |= bmask
+        # canonical at i: every variable matters, and the vertex is one
+        # block or its blocks are all too big to split off at this bound
+        if essential != mask or (len(blocks) > 1 and any(
+                bmask.bit_count() <= i for bmask, _ in blocks)):
             report.decomposition_finest_ok = False
             report.offending.setdefault("finest", u)
-            return report
-    if skipped:
+    if report.skipped and report.decomposition_finest_ok is True:
         report.decomposition_finest_ok = "skipped"
     return report

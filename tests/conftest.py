@@ -104,3 +104,37 @@ def project_table(table, scope, assignment):
 @pytest.fixture(scope="session")
 def vt12():
     return var_tables(range(1, 13))
+
+
+def exists_table(table, n, side):
+    """∃side.f over a table of n variables (bit k of the index is variable
+    k); `side` is a bitmask of variable indices.  The result is still a
+    table over all n variables, constant along the quantified ones."""
+    for k in range(n):
+        if (side >> k) & 1:
+            w = 1 << k
+            pos = 0
+            for m in range(1 << n):
+                if (m >> k) & 1:
+                    pos |= 1 << m
+            either = (table & ~pos) | ((table & pos) >> w)
+            table = either | (either << w)
+    return table
+
+
+def is_factor_side(table, n, side):
+    """f == ∃S̄.f ∧ ∃S.f: the variables of `side` form an independent factor."""
+    rest = ((1 << n) - 1) ^ side
+    return table == exists_table(table, n, rest) & exists_table(table, n, side)
+
+
+def finest_reference(table, n, bound):
+    """Is a decision vertex with this table over its n variables canonical
+    at `bound`, by definition?  It must depend on every variable, and no
+    proper side of at most `bound` variables may be an independent factor:
+    exhaustive over all 2^n sides, so only for small n."""
+    if any(exists_table(table, n, 1 << k) == table for k in range(n)):
+        return False
+    return not any(side.bit_count() <= bound
+                   and is_factor_side(table, n, side)
+                   for side in range(1, (1 << n) - 1))

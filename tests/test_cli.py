@@ -8,7 +8,7 @@ import pytest
 from kcdag.cli import run
 from kcdag.cnf import format_dimacs, parse_dimacs
 from kcdag.compiler import SCHEDULES, compile_cnf
-from kcdag.diagram_io import serialize
+from kcdag.diagram_io import deserialize, serialize
 from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import natural_order
@@ -135,6 +135,10 @@ def test_validate_command(capsys, cnf_file, tmp_path):
     assert report["ok"] is True
     assert report["bound"] == "2"
     assert report["finest"] is True
+    assert report["skipped"] == 0
+    store, root, _ = deserialize(open(out).read())
+    inner = [u for u in store.topological(root) if not store.is_leaf(u)]
+    assert report["exact_checked"] == len(inner) > 0
 
     # a bound-2 diagram with a 2-child conjunction is not canonical at 1
     store = DiagramStore(natural_order(4))
@@ -147,7 +151,13 @@ def test_validate_command(capsys, cnf_file, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False and report["bounded"] is False
     assert run(["validate", str(bad), "--semantic-limit", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["finest"] == "skipped"
+    report = json.loads(capsys.readouterr().out)
+    assert report["finest"] == "skipped"
+    assert (report["exact_checked"], report["skipped"]) == (0, 7)
+    assert run(["validate", str(bad), "--semantic-limit", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["finest"] == "skipped"
+    assert (report["exact_checked"], report["skipped"]) == (6, 1)
 
 
 def test_stats_and_dot(capsys, cnf_file, tmp_path):

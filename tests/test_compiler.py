@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import SCHEDULES, clause_diagram, compile_cnf, compile_via
+from kcdag.convert import convert_down
+from kcdag.decompose import decompose
 from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import VariableOrder, natural_order
@@ -115,6 +119,49 @@ def test_compile_via_matches_compile():
             direct = compile_cnf(cnf, bound, store=store)[1]
             via = compile_via(cnf, bound, store=store)[1]
             assert via == direct
+
+
+def _literals(n):
+    return st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+_small_cnfs = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(_literals(n), min_size=1, max_size=3), max_size=3 * n),
+    st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_cnfs)
+def test_every_route_gives_one_vertex(case):
+    # canonicity: each schedule, compile_via, convert_down from any larger
+    # bound (directly or stepwise) and decompose from any smaller one land
+    # on the same vertex, whose models are the formula's
+    n, clauses, perm = case
+    cnf = CNF(n)
+    for lits in clauses:
+        cnf.add_clause(lits)
+    store = DiagramStore(VariableOrder(perm))
+    scope = range(1, n + 1)
+    want = cnf_table(cnf, scope)
+    bounds = (0, 1, 2, 3, INF)
+    roots = {}
+    for bound in bounds:
+        ids = {compile_cnf(cnf, bound, store=store, schedule=s)[1]
+               for s in SCHEDULES}
+        ids.add(compile_via(cnf, bound, store=store)[1])
+        assert len(ids) == 1
+        roots[bound] = ids.pop()
+        assert diagram_table(store, roots[bound], scope) == want
+    for k, bound in enumerate(bounds):
+        for src in bounds[k:]:
+            assert convert_down(store, roots[src], bound) == roots[bound]
+        for src in bounds[:k + 1]:
+            assert decompose(store, roots[src], bound) == roots[bound]
+    stepwise = roots[INF]
+    for bound in reversed(bounds):
+        stepwise = convert_down(store, stepwise, bound)
+        assert stepwise == roots[bound]
 
 
 def test_compiled_semantics_against_tables():
