@@ -13,7 +13,6 @@ from .convert import convert, convert_down
 from .decompose import decompose, finest
 from .engine import FALSE, TRUE, DiagramStore
 from .errors import (
-    BoundViolationError,
     DecompositionError,
     DimacsError,
     InputError,
@@ -46,7 +45,6 @@ from .validate import ValidationReport, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolationError",
     "Bound",
     "CNF",
     "Clause",

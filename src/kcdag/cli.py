@@ -51,9 +51,9 @@ def _parse_lits(text: str) -> list[int]:
     try:
         lits = [int(t) for t in text.replace(",", " ").split()]
     except ValueError:
-        raise KcdagError(f"expected integers, got {text!r}")
+        raise InputError(f"expected integers, got {text!r}")
     if not lits or 0 in lits:
-        raise KcdagError("literals must be non-zero integers")
+        raise InputError("literals must be non-zero integers")
     return lits
 
 
@@ -64,7 +64,7 @@ def _parse_assignment(text: str) -> dict[int, bool]:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise KcdagError(f"expected var=true/false, got {chunk!r}")
+            raise InputError(f"expected var=true/false, got {chunk!r}")
         name, _, val = chunk.partition("=")
         val = val.strip().lower()
         if val in ("true", "1", "t"):
@@ -72,13 +72,13 @@ def _parse_assignment(text: str) -> dict[int, bool]:
         elif val in ("false", "0", "f"):
             b = False
         else:
-            raise KcdagError(f"expected true or false, got {val!r}")
+            raise InputError(f"expected true or false, got {val!r}")
         try:
             out[int(name.strip())] = b
         except ValueError:
-            raise KcdagError(f"bad variable {name!r}")
+            raise InputError(f"bad variable {name!r}")
     if not out:
-        raise KcdagError("empty assignment")
+        raise InputError("empty assignment")
     return out
 
 
@@ -86,7 +86,7 @@ def _parse_vars(text: str) -> list[int]:
     try:
         return [int(t) for t in text.replace(",", " ").split()]
     except ValueError:
-        raise KcdagError(f"expected variable numbers, got {text!r}")
+        raise InputError(f"expected variable numbers, got {text!r}")
 
 
 # ----------------------------------------------------------------------
@@ -135,15 +135,15 @@ def _cmd_query(args) -> int:
         result = ops.is_valid(store, root)
     elif kind == "ce":
         if args.clause is None:
-            raise KcdagError("ce needs --clause")
+            raise InputError("ce needs --clause")
         result = ops.entails_clause(store, root, _parse_lits(args.clause))
     elif kind == "im":
         if args.term is None:
-            raise KcdagError("im needs --term")
+            raise InputError("im needs --term")
         result = ops.implied_by_term(store, root, _parse_lits(args.term))
     else:  # eq / se take a second diagram
         if args.other is None:
-            raise KcdagError(f"{kind} needs a second diagram file")
+            raise InputError(f"{kind} needs a second diagram file")
         store2, root2, bound2 = _load_diagram(args.other, store=store)
         if kind == "eq":
             result = ops.equivalent(store, root, root2)
@@ -179,7 +179,7 @@ def _cmd_apply(args) -> int:
         out = ops.negate(store, a, target)
     else:
         if args.other is None:
-            raise KcdagError(f"{args.op} needs a second diagram file")
+            raise InputError(f"{args.op} needs a second diagram file")
         store2, root2, bound2 = _load_diagram(args.other, store=store)
         a = do_convert(store, root, bound, target)
         b = do_convert(store, root2, bound2, target)
@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_convert)
 
     c = sub.add_parser("decompose",
-                       help="canonicalize a raw in-bound diagram file")
+                       help="canonicalize a raw diagram file")
     c.add_argument("input")
     c.add_argument("--bound", required=True)
     c.add_argument("-o", "--output", default="-")

@@ -1,6 +1,6 @@
 """Canonicalization: finest bounded factorings.
 
-decompose() turns any in-bound raw diagram into the canonical form for its
+decompose() turns any ordered raw diagram into the canonical form for its
 store's order and the given bound; finest() factors a conjunction of
 canonical parts.
 """
@@ -16,9 +16,8 @@ from .store import Bound, parse_bound
 def decompose(store: DiagramStore, u: int, bound: Bound) -> int:
     """Canonical form of u at the given bound.
 
-    The input must be ordered (make_decision/make_conj enforce that) and
-    every conjunction vertex may keep at most one child with more than
-    `bound` essential variables; otherwise BoundViolationError is raised.
+    u may be any ordered raw diagram (make_decision/make_conj enforce the
+    order); conjunction children that exceed the bound are merged.
     """
     return store.decompose(u, parse_bound(bound))
 

@@ -25,7 +25,6 @@ Python's recursion limit, however deep the diagram.
 """
 
 from .errors import (
-    BoundViolationError,
     DecompositionError,
     InputError,
     OrderViolationError,
@@ -343,63 +342,18 @@ class DiagramStore:
         r = memo.get(key)
         if r is not None:
             return r
-        if kind[lo] == KIND_CONJ and kind[hi] == KIND_CONJ:
-            r = self._extract_share(var, lo, hi, i)
-        elif kind[hi] == KIND_CONJ and lo in self._kids[hi]:
-            r = self._extract_part(var, lo, hi, True, i)
-        elif kind[lo] == KIND_CONJ and hi in self._kids[lo]:
-            r = self._extract_part(var, hi, lo, False, i)
-        else:
-            r = self.make_decision(var, lo, hi)
-        memo[key] = r
+        r = memo[key] = self._extract_share(var, lo, hi, i)
         return r
 
-    def _extract_part(self, var, part, whole, part_is_lo, i):
-        # one branch appears among the other branch's children:
-        # <x, p, p AND R>  =  p AND <x, true, R>   (and mirrored)
-        nv_part = self._vs[part].bit_count()
-        nv_inner = 1 + self._vs[whole].bit_count() - nv_part
-        if nv_part > i and nv_inner > i:
-            # both factors would exceed the bound; the plain vertex is final
-            if part_is_lo:
-                return self.make_decision(var, part, whole)
-            return self.make_decision(var, whole, part)
-        rest = self.make_conj([c for c in self._kids[whole] if c != part])
-        if part_is_lo:
-            inner = self.make_decision(var, TRUE, rest)
-        else:
-            inner = self.make_decision(var, rest, TRUE)
-        return self.make_conj([part, inner])
-
     def _extract_share(self, var, lo, hi, i):
-        # children common to both branches factor out of the decision;
-        # kids tuples are strictly minrank-sorted, so a merge suffices
-        klo = self._kids[lo]
-        khi = self._kids[hi]
-        minrank = self._minrank
-        shared = []
-        rest_lo = []
-        rest_hi = []
-        a = b = 0
-        nlo = len(klo)
-        nhi = len(khi)
-        while a < nlo and b < nhi:
-            ca = klo[a]
-            cb = khi[b]
-            if ca == cb:
-                shared.append(ca)
-                a += 1
-                b += 1
-            elif minrank[ca] < minrank[cb]:
-                rest_lo.append(ca)
-                a += 1
-            else:
-                rest_hi.append(cb)
-                b += 1
+        # factors common to both branches come out of the decision, a branch
+        # that is itself a factor of the other included:
+        # <x, p, p AND R>  =  p AND <x, true, R>
+        klo = self._parts(lo)
+        khi = self._parts(hi)
+        shared = set(klo).intersection(khi)
         if not shared:
             return self.make_decision(var, lo, hi)
-        rest_lo.extend(klo[a:])
-        rest_hi.extend(khi[b:])
         vs = self._vs
         big = None
         shared_nv = 0
@@ -417,13 +371,12 @@ class DiagramStore:
                 shared.remove(big)
                 if not shared:
                     return self.make_decision(var, lo, hi)
-                shared_set = set(shared)
-                rest_lo = [c for c in klo if c not in shared_set]
-                rest_hi = [c for c in khi if c not in shared_set]
-        lo2 = self.make_conj(rest_lo)
-        hi2 = self.make_conj(rest_hi)
-        shared.append(self._decision(var, lo2, hi2, i))
-        return self._conj_parts(shared, i)
+        # the residues share no factor, or only the big one moved back into
+        # them, so no rule applies to their decision vertex
+        residual = self.make_decision(
+            var, self.make_conj([c for c in klo if c not in shared]),
+            self.make_conj([c for c in khi if c not in shared]))
+        return self._conj_parts([*shared, residual], i)
 
     def _conj_parts(self, parts, i):
         """Canonical conjunction of canonical, variable-disjoint factors.
@@ -505,41 +458,32 @@ class DiagramStore:
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
 
-    def decompose(self, u, i):
-        """Canonical form at bound i of a raw diagram already within bound i.
+    def _rebuild(self, u, i, memo, keep):
+        """Walk step that rebuilds u from its rebuilt children through the
+        canonicalizing constructors and stores the result in memo.
 
-        The input may be any ordered diagram whose conjunction vertices each
-        have at most one child exceeding i essential variables; violating
-        that raises BoundViolationError.
+        keep(c) is what child c becomes without a frame of its own, or None
+        when c must be rebuilt first.
         """
+        dec = self._kind[u] == KIND_DECISION
+        parts = []
+        for c in (self._lo[u], self._hi[u]) if dec else self._kids[u]:
+            k = keep(c)
+            if k is None:
+                yield c
+                k = memo[c]
+            parts.append(k)
+        if dec:
+            memo[u] = self._decision(self._var[u], parts[0], parts[1], i)
+        else:
+            memo[u] = self._conj_parts(parts, i)
+
+    def decompose(self, u, i):
+        """Canonical form at bound i of any ordered raw diagram."""
         memo = self._memo_decompose.setdefault(i, {FALSE: FALSE, TRUE: TRUE})
-
-        def step(u):
-            if self._kind[u] == KIND_DECISION:
-                lo = self._lo[u]
-                hi = self._hi[u]
-                yield lo
-                yield hi
-                r = self._decision(self._var[u], memo[lo], memo[hi], i)
-            else:
-                r = FALSE
-                parts = []
-                for c in self._kids[u]:
-                    yield c
-                    if memo[c] == FALSE:
-                        break
-                    parts.extend(self._parts(memo[c]))
-                else:
-                    vs = self._vs
-                    nbig = sum(vs[p].bit_count() > i for p in parts)
-                    if nbig >= 2:
-                        raise BoundViolationError(
-                            f"conjunction vertex {u} has {nbig} children with "
-                            f"more than {i} variables")
-                    r = self.make_conj(parts)
-            memo[u] = r
-
-        return _walk(u, memo, step)
+        # every child is rebuilt; memo.get spares a frame for one already done
+        return _walk(u, memo,
+                     lambda u: self._rebuild(u, i, memo, memo.get))
 
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.
@@ -547,25 +491,15 @@ class DiagramStore:
         Factors that already fit the target bound are kept verbatim; every
         oversized factor is converted and the survivors are re-merged.
         """
-        if self._vs[u].bit_count() <= i:
+        vs = self._vs
+        if vs[u].bit_count() <= i:
             return u
         memo = self._memo_convert.setdefault(i, {})
-        vs = self._vs
 
-        def step(u):
-            dec = self._kind[u] == KIND_DECISION
-            parts = []
-            for c in (self._lo[u], self._hi[u]) if dec else self._kids[u]:
-                if vs[c].bit_count() > i:
-                    yield c
-                    c = memo[c]
-                parts.append(c)
-            if dec:
-                memo[u] = self._decision(self._var[u], parts[0], parts[1], i)
-            else:
-                memo[u] = self._conj_parts(parts, i)
+        def keep(c):
+            return c if vs[c].bit_count() <= i else None
 
-        return _walk(u, memo, step)
+        return _walk(u, memo, lambda u: self._rebuild(u, i, memo, keep))
 
     # ------------------------------------------------------------------
     # operations (inputs and outputs canonical at bound i)
@@ -609,26 +543,16 @@ class DiagramStore:
         kind = self._kind
         pick = self._hi if b else self._lo
 
-        def step(u):
-            # u mentions x but does not branch on it; a child that branches
-            # on x is replaced by its branch here rather than given a frame;
-            # of a conjunction's children exactly one mentions x
-            dec = kind[u] == KIND_DECISION
-            parts = []
-            for c in (self._lo[u], self._hi[u]) if dec else self._kids[u]:
-                if vs[c] & xbit:
-                    if var[c] == x and kind[c] == KIND_DECISION:
-                        c = pick[c]
-                    else:
-                        yield c
-                        c = cache[c]
-                parts.append(c)
-            if dec:
-                cache[u] = self._decision(var[u], parts[0], parts[1], i)
-            else:
-                cache[u] = self._conj_parts(parts, i)
+        def keep(c):
+            # a child without x stays; one that branches on x is replaced
+            # by its branch rather than given a frame
+            if not vs[c] & xbit:
+                return c
+            if var[c] == x and kind[c] == KIND_DECISION:
+                return pick[c]
+            return None
 
-        return _walk(u, cache, step)
+        return _walk(u, cache, lambda u: self._rebuild(u, i, cache, keep))
 
     def conjoin(self, u, v, i):
         return self._apply(u, v, i, self._memo_and, FALSE, self._conjoin_split)

@@ -21,10 +21,6 @@ class DecompositionError(KcdagError):
     """A conjunction's children are not a valid decomposition."""
 
 
-class BoundViolationError(KcdagError):
-    """An operation produced or received a diagram outside its bound."""
-
-
 class SerializationError(KcdagError):
     """Malformed diagram file."""
 

@@ -21,6 +21,33 @@ def _check_vars(store: DiagramStore, variables: Iterable[int]) -> None:
             raise InputError(f"variable {v} is not in this store's order")
 
 
+def _literal_assignment(store: DiagramStore, lits: Iterable[int | Literal],
+                        value: bool) -> dict[int, bool] | None:
+    """Each literal's variable set so that the literal takes `value`; None
+    as soon as two literals on one variable ask for different values."""
+    assignment: dict[int, bool] = {}
+    for lit in lits:
+        if not isinstance(lit, Literal):
+            lit = Literal.from_int(lit)
+        _check_vars(store, (lit.var,))
+        b = lit.positive == value
+        if assignment.setdefault(lit.var, b) != b:
+            return None
+    return assignment
+
+
+def _check_scope(store: DiagramStore, own: frozenset[int],
+                 scope: Iterable[int]) -> set[int]:
+    """scope as a set, checked to name only known variables and to cover
+    own, the diagram's variables."""
+    sc = set(scope)
+    _check_vars(store, sc)
+    missing = own - sc
+    if missing:
+        raise InputError(f"scope is missing diagram variables {sorted(missing)}")
+    return sc
+
+
 def conjoin(store: DiagramStore, u: int, v: int, bound: Bound) -> int:
     return store.conjoin(u, v, parse_bound(bound))
 
@@ -72,28 +99,18 @@ def entails_clause(store: DiagramStore, u: int,
     Equivalent to conditioning u on the negation of every literal and
     checking for the false leaf.
     """
-    assignment: dict[int, bool] = {}
-    for lit in clause:
-        if not isinstance(lit, Literal):
-            lit = Literal.from_int(lit)
-        _check_vars(store, (lit.var,))
-        if assignment.get(lit.var) == lit.positive:
-            return True  # clause is tautological over this variable
-        assignment[lit.var] = not lit.positive
+    assignment = _literal_assignment(store, clause, False)
+    if assignment is None:
+        return True  # clause is tautological over some variable
     return not store.sat_under(u, assignment)
 
 
 def implied_by_term(store: DiagramStore, u: int,
                     term: Iterable[int | Literal]) -> bool:
     """Does the given term (conjunction of literals) entail u?"""
-    assignment: dict[int, bool] = {}
-    for lit in term:
-        if not isinstance(lit, Literal):
-            lit = Literal.from_int(lit)
-        _check_vars(store, (lit.var,))
-        if assignment.get(lit.var) == (not lit.positive):
-            return True  # contradictory term entails everything
-        assignment[lit.var] = lit.positive
+    assignment = _literal_assignment(store, term, True)
+    if assignment is None:
+        return True  # contradictory term entails everything
     return store.valid_under(u, assignment)
 
 
@@ -116,13 +133,8 @@ def model_count(store: DiagramStore, u: int,
     base = store.model_count(u)
     if scope is None:
         return base
-    sc = set(scope)
-    _check_vars(store, sc)
     own = store.vars_of(u)
-    missing = own - sc
-    if missing:
-        raise InputError(f"scope is missing diagram variables {sorted(missing)}")
-    return base << len(sc - own)
+    return base << len(_check_scope(store, own, scope) - own)
 
 
 def enumerate_models(store: DiagramStore, u: int,
@@ -134,14 +146,7 @@ def enumerate_models(store: DiagramStore, u: int,
     first, in ascending variable order.
     """
     own = store.vars_of(u)
-    if scope is None:
-        sc = sorted(own)
-    else:
-        sc = sorted(set(scope))
-        _check_vars(store, sc)
-        missing = own - set(sc)
-        if missing:
-            raise InputError(f"scope is missing diagram variables {sorted(missing)}")
+    sc = sorted(own if scope is None else _check_scope(store, own, scope))
 
     def partials() -> Iterator[dict[int, bool]]:
         # depth first over (vertices still to satisfy, choices so far), both

@@ -24,17 +24,17 @@ def _inner(store, root):
             if store.is_decision(u) or store.is_conj(u)]
 
 
-def _raw_diagram(store, table, n, first=1):
-    """Bound-0 diagram of a table over variables first..first+n-1, where
-    bit k of the index is variable first+k."""
-    if n == 0:
+def _raw_diagram(store, table, vs):
+    """Bound-0 diagram of a table over the ascending variables vs, where
+    bit k of the index is variable vs[k]."""
+    if not vs:
         return TRUE if table & 1 else FALSE
     halves = [0, 0]
-    for m in range(1 << n):
+    for m in range(1 << len(vs)):
         if (table >> m) & 1:
             halves[m & 1] |= 1 << (m >> 1)
-    lo, hi = (_raw_diagram(store, t, n - 1, first + 1) for t in halves)
-    return store.make_decision(first, lo, hi)
+    lo, hi = (_raw_diagram(store, t, vs[1:]) for t in halves)
+    return store.make_decision(vs[0], lo, hi)
 
 
 def _vertex_table(store, u):
@@ -168,21 +168,25 @@ def test_summary_mentions_every_flag():
 
 @st.composite
 def _tables(draw):
-    """(n, table): a uniform table, or a conjunction of random functions on
-    a random partition of the variables, so that factorings are common."""
+    """(n, table, groups): a uniform table with groups None, or a
+    conjunction of random functions on a random partition of the
+    variables, so that factorings are common; groups then lists each
+    function as (members, part), bit j of part's index being members[j]."""
     n = draw(st.integers(1, 6))
     if draw(st.booleans()):
-        return n, draw(st.integers(0, (1 << (1 << n)) - 1))
+        return n, draw(st.integers(0, (1 << (1 << n)) - 1)), None
     group = [draw(st.integers(0, 2)) for _ in range(n)]
     table = (1 << (1 << n)) - 1
+    groups = []
     for g in set(group):
         members = [k for k in range(n) if group[k] == g]
         part = draw(st.integers(0, (1 << (1 << len(members))) - 1))
+        groups.append((members, part))
         for m in range(1 << n):
             sub = sum(((m >> k) & 1) << j for j, k in enumerate(members))
             if not (part >> sub) & 1:
                 table &= ~(1 << m)
-    return n, table
+    return n, table, groups
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,12 +194,22 @@ def _tables(draw):
 def test_finest_matches_the_definition(case):
     # every table's raw bound-0 diagram and its canonical forms, each
     # validated at every bound: where the structure passes, the finest
-    # verdict is the exhaustive factor-side test of every decision vertex
-    n, table = case
+    # verdict is the exhaustive factor-side test of every decision vertex.
+    # A partition's table also gets a raw conjunction of its groups' raw
+    # diagrams, canonical at no bound in general, which must decompose as
+    # the plain raw diagram does
+    n, table, groups = case
     store = DiagramStore(natural_order(n))
-    raw = _raw_diagram(store, table, n)
+    raw = _raw_diagram(store, table, list(range(1, n + 1)))
     made = {0: raw}
     made.update((b, decompose(store, raw, b)) for b in (1, 2, INF))
+    if groups is not None:
+        conj = store.make_conj([
+            _raw_diagram(store, part, [k + 1 for k in members])
+            for members, part in groups])
+        for b in (1, 2, INF):
+            assert decompose(store, conj, b) == made[b]
+        made[None] = conj
     tables: dict = {}
     blocks: dict = {}
     for made_at, root in made.items():
