@@ -15,8 +15,9 @@ from .store import Bound, parse_bound
 def convert_down(store: DiagramStore, u: int, bound: Bound) -> int:
     """Canonical form of u at `bound`, given u canonical at some bound >= it.
 
-    Factors small enough for the target bound are reused as-is, so repeated
-    conversion down a chain of bounds costs no more than converting once.
+    Factors small enough for the target bound are reused as-is; the
+    oversized ones are merged top-down straight from their source form, so
+    the conversion interns little beyond the vertices of its result.
     """
     return store.convert_down(u, parse_bound(bound))
 

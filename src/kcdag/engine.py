@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     OrderViolationError,
 )
+from .store import INF
 
 FALSE = 0
 TRUE = 1
@@ -41,10 +42,9 @@ KIND_CONJ = 3
 # one computed table per memoised operation, keyed by that operation's own
 # arguments; a walk's table holds one dict per bound, keyed by the walk's key
 _MEMO_TABLES = (
-    "_memo_decision",   # _decision: (var, lo, hi, i)
-    "_memo_merge",      # _merge_bigs: i -> {bigs: result}
+    "_memo_decision",   # _decision: (var, lo, hi, i), only where a rule applied
+    "_memo_merge",      # _merge_bigs, convert_down: i -> {factors: their AND}
     "_memo_decompose",  # decompose: i -> {u: result}
-    "_memo_convert",    # convert_down: i -> {u: result}
     "_memo_cofactor",   # _cofactor_top: (u, i)
     "_memo_restrict",   # _restrict1: (x, b, i) -> {u: result}
     "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
@@ -338,17 +338,17 @@ class DiagramStore:
         if hi == FALSE:
             return self._conj_parts([self.literal(var, False), lo], i)
         key = (var, lo, hi, i)
-        memo = self._memo_decision
-        r = memo.get(key)
+        r = self._memo_decision.get(key)
         if r is not None:
             return r
-        r = memo[key] = self._extract_share(var, lo, hi, i)
-        return r
+        return self._extract_share(var, lo, hi, i, key)
 
-    def _extract_share(self, var, lo, hi, i):
+    def _extract_share(self, var, lo, hi, i, key):
         # factors common to both branches come out of the decision, a branch
         # that is itself a factor of the other included:
-        # <x, p, p AND R>  =  p AND <x, true, R>
+        # <x, p, p AND R>  =  p AND <x, true, R>.  Only a result that took
+        # factors out is memoised under key; the plain vertex is already in
+        # the unique table.
         klo = self._parts(lo)
         khi = self._parts(hi)
         shared = set(klo).intersection(khi)
@@ -376,7 +376,8 @@ class DiagramStore:
         residual = self.make_decision(
             var, self.make_conj([c for c in klo if c not in shared]),
             self.make_conj([c for c in khi if c not in shared]))
-        return self._conj_parts([*shared, residual], i)
+        r = self._memo_decision[key] = self._conj_parts([*shared, residual], i)
+        return r
 
     def _conj_parts(self, parts, i):
         """Canonical conjunction of canonical, variable-disjoint factors.
@@ -386,9 +387,7 @@ class DiagramStore:
         bound, the oversized ones are merged into a single decision vertex.
         """
         flat = []
-        nbig = 0
         kind = self._kind
-        vs = self._vs
         for p in parts:
             k = kind[p]
             if k == KIND_FALSE:
@@ -396,58 +395,67 @@ class DiagramStore:
             if k == KIND_TRUE:
                 continue
             if k == KIND_CONJ:
-                for c in self._kids[p]:
-                    flat.append(c)
-                    if vs[c].bit_count() > i:
-                        nbig += 1
-            elif vs[p].bit_count() > i:
-                flat.append(p)
-                nbig += 1
+                flat.extend(self._kids[p])
             else:
                 flat.append(p)
-        if not flat:
-            return TRUE
-        if len(flat) == 1:
-            return flat[0]
-        if nbig >= 2:
-            merged = self._merge_bigs(
-                tuple(sorted(p for p in flat if vs[p].bit_count() > i)), i)
-            smalls = [p for p in flat if vs[p].bit_count() <= i]
-            smalls.append(merged)
-            # the merged vertex is canonical, so this call merges nothing
-            return self._conj_parts(smalls, i)
+        if len(flat) <= 1:
+            return flat[0] if flat else TRUE
+        if i != INF:
+            vs = self._vs
+            bigs = [p for p in flat if vs[p].bit_count() > i]
+            if len(bigs) >= 2:
+                bigs.sort(key=self._minrank.__getitem__)
+                # the merged decision vertex is the only oversized factor
+                flat = [p for p in flat if vs[p].bit_count() <= i]
+                flat.append(self._merge_bigs(tuple(bigs), i))
+                if len(flat) == 1:
+                    return flat[0]
         return self._intern_conj(flat)
 
-    def _merge_bigs(self, bigs, i):
-        """Fold variable-disjoint oversized factors into one decision vertex
-        by branching on the earliest variable among them."""
+    def _merge_bigs(self, bigs, i, lone=2):
+        """Canonical vertex at bound i of the conjunction of bigs,
+        variable-disjoint decision vertices of more than i variables each,
+        in order of their earliest variables.
+
+        The walk branches on the earliest variable and descends into the
+        cofactors, building only vertices of the product (Bryant's Apply).
+        A cofactor's oversized factors get a key of their own when there
+        are at least `lone`: 2 for factors canonical at i, as one of them
+        is canonical as it is; 1 for factors canonical only at a larger
+        bound (convert_down).  A key maps to one vertex in either mode.
+        """
         memo = self._memo_merge.setdefault(i, {})
         vs = self._vs
-
-        def step(bigs):
+        by_rank = self._minrank.__getitem__
+        if bigs not in memo:
+            # the factors of a key's cofactors stay disjoint from the rest
             union = 0
             for p in bigs:
                 if union & vs[p]:
                     raise DecompositionError("factors to merge share variables")
                 union |= vs[p]
-            first = min(bigs, key=self._minrank.__getitem__)
-            rest = [p for p in bigs if p != first]
+
+        def step(bigs):
+            first = bigs[0]
+            rest = bigs[1:]
             halves = []
             for half in (self._lo[first], self._hi[first]):
                 if half == FALSE:
                     halves.append(FALSE)
                     continue
-                # a cofactor whose factors still hold two oversized ones
-                # needs a merge of those first
+                # a cofactor's oversized factors need a merge of their own
                 smalls = []
-                big = list(rest)
+                big = []
                 for p in self._parts(half):
                     (big if vs[p].bit_count() > i else smalls).append(p)
-                if len(big) >= 2:
-                    key = tuple(sorted(big))
+                if len(big) + len(rest) >= lone:
+                    key = rest
+                    if big:
+                        key = tuple(sorted(rest + tuple(big), key=by_rank))
                     yield key
                     smalls.append(memo[key])
                 else:
+                    smalls.extend(rest)
                     smalls.extend(big)
                 halves.append(self._conj_parts(smalls, i))
             memo[bigs] = self._decision(self._var[first], halves[0],
@@ -488,18 +496,24 @@ class DiagramStore:
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.
 
-        Factors that already fit the target bound are kept verbatim; every
-        oversized factor is converted and the survivors are re-merged.
+        Factors that already fit the target bound are kept verbatim, here
+        and in every cofactor.  The oversized ones are merged straight from
+        their bound-j form, top-down, so no bound-i form of a single
+        oversized factor is built unless it is part of the result.
         """
         vs = self._vs
         if vs[u].bit_count() <= i:
             return u
-        memo = self._memo_convert.setdefault(i, {})
-
-        def keep(c):
-            return c if vs[c].bit_count() <= i else None
-
-        return _walk(u, memo, lambda u: self._rebuild(u, i, memo, keep))
+        parts = self._parts(u)
+        # a conjunction's children are in order of their earliest variables
+        bigs = tuple(p for p in parts if vs[p].bit_count() > i)
+        if not bigs:
+            # factors of at most i variables each are canonical at every
+            # bound from i up
+            return u
+        smalls = [p for p in parts if vs[p].bit_count() <= i]
+        smalls.append(self._merge_bigs(bigs, i, 1))
+        return self._conj_parts(smalls, i)
 
     # ------------------------------------------------------------------
     # operations (inputs and outputs canonical at bound i)
@@ -667,33 +681,43 @@ class DiagramStore:
         if not vs[u] & vs[v]:
             return self._conj_parts([*self._parts(u), *self._parts(v)], i)
         var = self._var
-        lo = self._lo
         pu = self._parts(u)
         lits = {}
+        lmask = 0
         rest_u = []
+        for p in pu:
+            pvs = vs[p]
+            if pvs & (pvs - 1):
+                rest_u.append(p)
+            else:
+                # u's literals are its own factors, on distinct variables
+                lits[var[p]] = p
+                lmask |= pvs
         rest_v = []
-        for parts, rest, in_u in ((pu, rest_u, ()), (self._parts(v), rest_v, pu)):
-            for p in parts:
-                if vs[p].bit_count() == 1:
-                    # literals are hash-consed: another id is the other phase
-                    old = lits.setdefault(var[p], p)
-                    if old != p:
-                        return FALSE
-                elif p not in in_u:
-                    rest.append(p)
-        if lits:
+        for p in self._parts(v):
+            pvs = vs[p]
+            if pvs & (pvs - 1):
+                if p not in pu:
+                    rest_v.append(p)
+            # literals are hash-consed: another id is the other phase
+            elif lits.setdefault(var[p], p) != p:
+                return FALSE
+            else:
+                lmask |= pvs
+        if lmask:
             # restrict every factor of both sides before building either
             # side's conjunction; building one side first interns extra
-            # vertices.  A literal's mask is its variable's bit.
-            items = [(x, lo[p] == FALSE, vs[p]) for x, p in lits.items()]
+            # vertices
+            lo = self._lo
             sides = []
             for rest in (rest_u, rest_v):
                 side = []
                 for p in rest:
                     pvs = vs[p]
-                    for x, b, xbit in items:
-                        if pvs & xbit:
-                            p = self._restrict1(p, x, b, i)
+                    if pvs & lmask:
+                        for x, q in lits.items():
+                            if pvs & vs[q]:
+                                p = self._restrict1(p, x, lo[q] == FALSE, i)
                     if p == FALSE:
                         return FALSE
                     side.append(p)

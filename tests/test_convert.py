@@ -9,6 +9,7 @@ something that never touches the diagram code.
 import pytest
 
 from kcdag import FALSE, TRUE
+from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.convert import convert, convert_down
 from kcdag.engine import DiagramStore
@@ -122,3 +123,52 @@ def test_leaves_convert_to_themselves():
     for b in (0, 1, INF):
         assert convert_down(store, TRUE, b) == TRUE
         assert convert_down(store, FALSE, b) == FALSE
+
+
+def _parity_pairs(half):
+    # x_k <-> x_{2 half + 1 - k}: under the natural order every pair spans
+    # the middle, so the bound-0 diagram has 3 * 2^half - 1 vertices while
+    # the bound-1 diagram is a conjunction of `half` two-variable factors
+    cnf = CNF(2 * half)
+    for k in range(1, half + 1):
+        cnf.add_clause([-k, 2 * half + 1 - k])
+        cnf.add_clause([k, -(2 * half + 1 - k)])
+    return cnf
+
+
+def test_convert_down_builds_no_dead_vertices():
+    # merging the eight oversized factors top-down interns only vertices of
+    # the result; converting each factor on its own first would intern
+    # about twice as many
+    cnf = _parity_pairs(8)
+    store, r1 = compile_cnf(cnf, 1, order=natural_order(16))
+    before = store.num_vertices
+    r0 = convert_down(store, r1, 0)
+    interned = store.num_vertices - before
+    assert store.vertex_count(r0) == 3 * 2 ** 8 - 1
+    assert interned <= store.vertex_count(r0)
+    assert compile_cnf(cnf, 0, store=store)[1] == r0
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_convert_down_shares_the_merge_table_with_conjoin(bound):
+    # one table maps factor tuples to their canonical conjunction, whether
+    # conjoin merged canonical factors or convert_down merged source-bound
+    # ones; each may read the other's entries and must still give one vertex
+    filled = 0
+    vt = var_tables(range(1, 11))
+    for seed in range(8):
+        cnf = random_cnf(10, 22, seed=90 + seed)
+        store = DiagramStore(natural_order(10))
+        low = compile_cnf(cnf, bound, store=store)[1]
+        high = compile_cnf(cnf, INF, store=store)[1]
+        filled += len(store._memo_merge.get(bound, ()))
+        assert convert_down(store, high, bound) == low
+        # converting first, then compiling
+        store = DiagramStore(natural_order(10))
+        high = compile_cnf(cnf, INF, store=store)[1]
+        down = convert_down(store, high, bound)
+        assert compile_cnf(cnf, bound, store=store)[1] == down
+        assert diagram_table(store, down, range(1, 11)) == \
+            cnf_table(cnf, range(1, 11), vt)
+    assert filled
