@@ -10,7 +10,7 @@ negate, condition, forget).
 from .cnf import CNF, Clause, Literal, format_dimacs, parse_dimacs
 from .compiler import clause_diagram, compile_cnf, compile_via
 from .convert import convert, convert_down
-from .decompose import decompose, finest
+from .decompose import decompose
 from .engine import FALSE, TRUE, DiagramStore
 from .errors import (
     DecompositionError,
@@ -78,7 +78,6 @@ __all__ = [
     "enumerate_models",
     "equivalent",
     "export_dot",
-    "finest",
     "forget",
     "format_bound",
     "format_dimacs",

@@ -39,10 +39,11 @@ KIND_TRUE = 1
 KIND_DECISION = 2
 KIND_CONJ = 3
 
-# one computed table per memoised operation, keyed by that operation's own
-# arguments; a walk's table holds one dict per bound, keyed by the walk's key
+# the computed tables, one per memoised operation and keyed by that
+# operation's own arguments; a walk's table holds one dict per bound, keyed by
+# the walk's key.  clear_memo empties them all at any time: nothing else
+# refers to their entries, and every result is refilled on demand.
 _MEMO_TABLES = (
-    "_memo_decision",   # _decision: (var, lo, hi, i), only where a rule applied
     "_memo_merge",      # _merge_bigs, convert_down: i -> {factors: their AND}
     "_memo_decompose",  # decompose: i -> {u: result}
     "_memo_cofactor",   # _cofactor_top: (u, i)
@@ -81,6 +82,13 @@ class DiagramStore:
     `order` must expose .vars (tuple of variables, root end first) and .rank
     (dict variable -> position).  Vertices from different stores must never
     be mixed; nothing detects it.
+
+    The store is its vertices and their index: one list per vertex field,
+    indexed by vertex id; the unique tables _unique, (var, lo, hi) -> id,
+    and _uconj, children -> id, which make every vertex unique; and rank.
+    Canonicity makes these the only index needed.  Everything else is a
+    computed table named in _MEMO_TABLES, which clear_memo may drop at any
+    time without changing any later result or vertex id.
     """
 
     def __init__(self, order):
@@ -97,7 +105,6 @@ class DiagramStore:
         self._minrank = [self._leaf_rank, self._leaf_rank]
         self._unique = {}
         self._uconj = {}
-        self._litcache = {}
         self.clear_memo()
 
     # ------------------------------------------------------------------
@@ -116,7 +123,7 @@ class DiagramStore:
                 f"variable {var} does not precede both branches")
         if lo == hi:
             return lo
-        key = (KIND_DECISION, var, lo, hi)
+        key = (var, lo, hi)
         u = self._unique.get(key)
         if u is not None:
             return u
@@ -184,15 +191,8 @@ class DiagramStore:
         return u
 
     def literal(self, var, positive=True):
-        key = (var, positive)
-        u = self._litcache.get(key)
-        if u is None:
-            if positive:
-                u = self.make_decision(var, FALSE, TRUE)
-            else:
-                u = self.make_decision(var, TRUE, FALSE)
-            self._litcache[key] = u
-        return u
+        lo = FALSE if positive else TRUE
+        return self.make_decision(var, lo, 1 - lo)
 
     # ------------------------------------------------------------------
     # accessors
@@ -322,33 +322,26 @@ class DiagramStore:
     # canonical at bound i.
 
     def _decision(self, var, lo, hi, i):
-        """Canonical vertex for (var ? hi : lo) given canonical branches."""
+        """Canonical vertex for (var ? hi : lo) given canonical branches.
+
+        The rules apply in order: reduction, literal extraction, then
+        extraction of the factors shared by both branches.
+        """
         if lo == hi:
             return lo
         if i == 0:
-            return self.make_decision(var, lo, hi)
-        kind = self._kind
-        if (lo != FALSE and hi != FALSE
-                and kind[lo] != KIND_CONJ and kind[hi] != KIND_CONJ):
-            # no extraction rule applies to plain non-false branches
             return self.make_decision(var, lo, hi)
         if lo == FALSE:
             # the vertex is literal AND hi
             return self._conj_parts([self.literal(var, True), hi], i)
         if hi == FALSE:
             return self._conj_parts([self.literal(var, False), lo], i)
-        key = (var, lo, hi, i)
-        r = self._memo_decision.get(key)
-        if r is not None:
-            return r
-        return self._extract_share(var, lo, hi, i, key)
-
-    def _extract_share(self, var, lo, hi, i, key):
+        if self._kind[lo] != KIND_CONJ and self._kind[hi] != KIND_CONJ:
+            # two distinct single factors share none
+            return self.make_decision(var, lo, hi)
         # factors common to both branches come out of the decision, a branch
         # that is itself a factor of the other included:
-        # <x, p, p AND R>  =  p AND <x, true, R>.  Only a result that took
-        # factors out is memoised under key; the plain vertex is already in
-        # the unique table.
+        # <x, p, p AND R>  =  p AND <x, true, R>
         klo = self._parts(lo)
         khi = self._parts(hi)
         shared = set(klo).intersection(khi)
@@ -376,8 +369,7 @@ class DiagramStore:
         residual = self.make_decision(
             var, self.make_conj([c for c in klo if c not in shared]),
             self.make_conj([c for c in khi if c not in shared]))
-        r = self._memo_decision[key] = self._conj_parts([*shared, residual], i)
-        return r
+        return self._conj_parts([*shared, residual], i)
 
     def _conj_parts(self, parts, i):
         """Canonical conjunction of canonical, variable-disjoint factors.

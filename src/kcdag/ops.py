@@ -143,8 +143,11 @@ def enumerate_models(store: DiagramStore, u: int,
     """Yield total assignments over `scope` satisfying u, deterministically.
 
     Free variables (in scope but undecided on a path) are expanded false
-    first, in ascending variable order.
+    first, in ascending variable order.  At most `limit` models are
+    yielded; a negative limit raises InputError.
     """
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be at least 0, not {limit}")
     own = store.vars_of(u)
     sc = sorted(own if scope is None else _check_scope(store, own, scope))
 
@@ -175,6 +178,8 @@ def enumerate_models(store: DiagramStore, u: int,
                     partial[x] = b
                 yield partial
 
+    if limit == 0:
+        return
     emitted = 0
     for partial in partials():
         free = [v for v in sc if v not in partial]

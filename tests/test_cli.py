@@ -75,6 +75,12 @@ def test_count_and_enumerate(capsys, tmp_path):
     assert capsys.readouterr().out == "-1 -2\n1 2\n"
     assert run(["enumerate", out, "--limit", "1"]) == 0
     assert capsys.readouterr().out == "-1 -2\n"
+    assert run(["enumerate", out, "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["enumerate", out, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
 
 def test_queries(capsys, cnf_file, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
-from kcdag.decompose import decompose, finest
+from kcdag.decompose import decompose
 from kcdag.engine import DiagramStore
 from kcdag.families import random_cnf
 from kcdag.ordering import natural_order
@@ -134,14 +134,13 @@ def test_two_big_blocks_merge_below_their_bound(store):
     assert validate(store, f, 2).ok
 
 
-def test_finest_flattens_and_reports_parts(store):
+def test_conjoin_of_disjoint_operands_is_their_finest_factoring(store):
     a, b, c = store.literal(1), store.literal(2), store.literal(3)
-    assert finest(store, [a, b], 1) == (a, b)
+    assert store.children(store.conjoin(a, b, 1)) == (a, b)
     nested = store.make_conj([a, b])
-    assert finest(store, [nested, c], INF) == (a, b, c)
-    merged = finest(store, [xor_vertex(store, 2, 3), xor_vertex(store, 4, 5)], 1)
-    assert len(merged) == 1
-    assert store.is_decision(merged[0])
+    assert store.children(store.conjoin(nested, c, INF)) == (a, b, c)
+    merged = store.conjoin(xor_vertex(store, 2, 3), xor_vertex(store, 4, 5), 1)
+    assert store.is_decision(merged)
 
 
 def test_decompose_validates_against_oracle_fuzz():

@@ -8,6 +8,7 @@ from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.engine import DiagramStore
+from kcdag.errors import InputError
 from kcdag.families import random_cnf
 from kcdag.ops import (
     condition,
@@ -162,6 +163,10 @@ def test_enumerate_models_contract(vt8):
         seen.add(idx)
     assert len(seen) == len(models)
     assert len(list(enumerate_models(store, u, scope, limit=5))) == 5
+    assert list(enumerate_models(store, u, scope, limit=0)) == []
+    assert list(enumerate_models(store, TRUE, [1, 2], limit=0)) == []
+    with pytest.raises(InputError):
+        list(enumerate_models(store, u, scope, limit=-1))
     assert list(enumerate_models(store, FALSE, scope)) == []
     assert len(list(enumerate_models(store, TRUE, [1, 2]))) == 4
 

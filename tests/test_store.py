@@ -3,7 +3,14 @@
 import pytest
 
 from kcdag import FALSE, TRUE
-from kcdag.engine import DiagramStore, KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE
+from kcdag.engine import (
+    _MEMO_TABLES,
+    DiagramStore,
+    KIND_CONJ,
+    KIND_DECISION,
+    KIND_FALSE,
+    KIND_TRUE,
+)
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.errors import DecompositionError, OrderViolationError
@@ -145,6 +152,16 @@ def test_clear_memo_keeps_vertices(store):
         before = every_op(bound)
         store.clear_memo()
         assert every_op(bound) == before
+
+    # the unique tables are the store's only index; every other table is a
+    # computed one that clear_memo drops
+    assert all(getattr(store, name) for name in _MEMO_TABLES)
+    store.clear_memo()
+    tables = {name for name, value in vars(store).items() if isinstance(value, dict)}
+    assert tables == {"rank", "_unique", "_uconj", *_MEMO_TABLES}
+    for name in _MEMO_TABLES:
+        assert getattr(store, name) == ({FALSE: 0, TRUE: 1} if name == "_memo_count"
+                                        else {}), name
 
 
 def test_evaluate_deep_chain():
