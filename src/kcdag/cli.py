@@ -106,6 +106,7 @@ def _cmd_compile(args) -> int:
         "vertices": store.vertex_count(root),
         "edges": store.size(root),
         "ms": round(ms, 3),
+        "interned": store.num_vertices,
     }))
     return 0
 

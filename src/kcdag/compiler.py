@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .cnf import CNF, Clause, Literal
@@ -50,11 +51,12 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     elimination sequence, rank 0 first: each clause goes to the bucket of
     its earliest variable, and what a bucket holds moves on to the bucket
     of its next variable; the roots of that elimination forest, which
-    share no variable, are conjoined last.  "balanced" conjoins all clauses
-    in pairwise rounds, "sequential" is a left fold in clause order, and
-    "ordered" a left fold with clauses sorted by the rank of their earliest
-    variable, so the top of the order gets constrained first.  Tautological
-    and repeated clauses are dropped.
+    share no variable, are conjoined last.  Each of those lists is
+    conjoined pair by pair, smallest union of variables first.
+    "balanced" conjoins all clauses in pairwise rounds, "sequential" is a
+    left fold in clause order, and "ordered" a left fold with clauses
+    sorted by the rank of their earliest variable, so the top of the order
+    gets constrained first.  Tautological and repeated clauses are dropped.
     """
     i = parse_bound(bound)
     if store is None:
@@ -113,6 +115,43 @@ def _pairwise(store: DiagramStore, diagrams: list[int], i: int) -> int:
     return diagrams[0]
 
 
+def _by_union(store: DiagramStore, diagrams: list[int], i: int) -> int:
+    """Conjoin a list, always the adjacent pair whose union of variables is
+    smallest, the earlier pair on ties; FALSE as soon as one is.
+
+    The list is linked through nxt (n is its end) and the heap holds one
+    entry (union size, left, right) per adjacent pair.  An entry whose
+    pair is no longer adjacent, or whose size is no longer the union's, is
+    stale and skipped when popped, since each conjoin pushes fresh entries
+    for the pairs it changes: O(n log n) for n diagrams.
+    """
+    vs = store._vs
+    ds: list[int | None] = list(diagrams)
+    n = len(ds)
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    heap = [((vs[ds[a]] | vs[ds[a + 1]]).bit_count(), a, a + 1)
+            for a in range(n - 1)]
+    heapify(heap)
+    while heap:
+        size, a, b = heappop(heap)
+        x = ds[a]
+        if x is None or nxt[a] != b or (vs[x] | vs[ds[b]]).bit_count() != size:
+            continue
+        d = store.conjoin(x, ds[b], i)
+        if d == FALSE:
+            return FALSE
+        ds[a], ds[b] = d, None
+        c = nxt[a] = nxt[b]
+        if c < n:
+            prv[c] = a
+            heappush(heap, ((vs[d] | vs[ds[c]]).bit_count(), a, c))
+        p = prv[a]
+        if p >= 0:
+            heappush(heap, ((vs[ds[p]] | vs[d]).bit_count(), p, a))
+    return ds[0]
+
+
 def _bucket(store: DiagramStore, clauses: list[Clause], diagrams: list[int],
             i: int) -> int:
     """Conjoin clause diagrams along the store's order, bucket by bucket.
@@ -123,10 +162,15 @@ def _bucket(store: DiagramStore, clauses: list[Clause], diagrams: list[int],
     bucket of the next rank in its scope, is a run: diagrams still to be
     conjoined.  A bucket that receives one run appends the conjunction of
     its own clauses to it; one that receives several first conjoins each
-    run, in balanced rounds, and starts a new run of those results.  A run
-    with no later rank is a root of the elimination forest.  So a path of
-    buckets is conjoined in balanced rounds: folding it one bucket at a
-    time takes quadratic time on a chain.
+    run and starts a new run of those results.  A run with no later rank
+    is a root of the elimination forest, and the roots are conjoined last.
+
+    Every such list is conjoined by _by_union: the adjacent pair with the
+    smallest union of variables goes first, which keeps the intermediate
+    diagrams small.  Only neighbours are paired because neighbours in a
+    run come from neighbouring buckets, and because on equal supports, as
+    on a chain, the rule then falls back to balanced rounds along the
+    path: folding a path one bucket at a time takes quadratic time.
     """
     rank = store.rank
     own: list[list[int]] = [[] for _ in store.order.vars]
@@ -146,11 +190,11 @@ def _bucket(store: DiagramStore, clauses: list[Clause], diagrams: list[int],
         else:
             run = []
             for w in runs[r]:
-                run.append(_pairwise(store, w, i))
+                run.append(_by_union(store, w, i))
                 if run[-1] == FALSE:
                     return FALSE
         if ds:
-            run.append(_pairwise(store, ds, i))
+            run.append(_by_union(store, ds, i))
             if run[-1] == FALSE:
                 return FALSE
         if not run:
@@ -161,10 +205,10 @@ def _bucket(store: DiagramStore, clauses: list[Clause], diagrams: list[int],
             runs[k].append(run)
             scope[k] |= scope[r]
         else:
-            roots.append(_pairwise(store, run, i))
+            roots.append(_by_union(store, run, i))
             if roots[-1] == FALSE:
                 return FALSE
-    return _pairwise(store, roots, i)
+    return _by_union(store, roots, i)
 
 
 def compile_via(cnf: CNF, bound: Bound, order: VariableOrder | None = None,

@@ -19,6 +19,7 @@ from functools import cache
 from typing import Union
 
 from .engine import FALSE, KIND_CONJ, KIND_DECISION, TRUE, DiagramStore
+from .errors import InputError
 from .store import Bound, parse_bound
 
 # exact-check gate on a vertex's variable count
@@ -122,7 +123,11 @@ def validate(store: DiagramStore, root: int, bound: Bound,
 
     `caches` maps vertex -> finest blocks.  Blocks do not depend on the
     bound, so one dict may be shared across calls on the same store.
+    A negative `semantic_limit` raises InputError: it would skip every
+    vertex and report the diagram as ok.
     """
+    if semantic_limit < 0:
+        raise InputError(f"semantic limit must be >= 0, got {semantic_limit}")
     i = parse_bound(bound)
     topo = store.topological(root)
     report = ValidationReport(bound=i, root=root, vertex_count=len(topo))

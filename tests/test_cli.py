@@ -31,8 +31,9 @@ def _compile(capsys, cnf_file, tmp_path, bound, name="d.kdag", extra=()):
 
 def test_compile_reports_and_writes(capsys, cnf_file, tmp_path):
     out, info = _compile(capsys, cnf_file, tmp_path, "1")
-    assert set(info) == {"vertices", "edges", "ms"}
+    assert set(info) == {"vertices", "edges", "ms", "interned"}
     assert info["vertices"] >= 1
+    assert info["interned"] >= info["vertices"]
     text = open(out).read()
     assert text.startswith("kdag 1 ")
     assert text.split()[4] == "1"  # header records the bound
@@ -164,6 +165,12 @@ def test_validate_command(capsys, cnf_file, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["finest"] == "skipped"
     assert (report["exact_checked"], report["skipped"]) == (6, 1)
+    # a negative limit would check nothing and pass: one error line instead
+    assert run(["validate", str(bad), "--semantic-limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_stats_and_dot(capsys, cnf_file, tmp_path):

@@ -86,6 +86,25 @@ def test_shuffled_chain_compiles_under_the_default_limit():
         assert model_count(store, root, scope=store.order.vars) == 2
 
 
+def test_default_schedule_pairs_by_smallest_union():
+    # the adjacent pair with the smallest union of variables goes first:
+    # on this formula balanced pairing interns 57,692 vertices at bound 0
+    cnf = random_cnf(30, 90, seed=0)
+    store, root = compile_cnf(cnf, 0)
+    assert store.num_vertices <= 40_000
+    assert compile_cnf(cnf, 0, store=store, schedule="balanced")[1] == root
+
+
+def test_uniform_supports_keep_balanced_rounds():
+    # every link of a chain has the same support size, so the pairing falls
+    # back to balanced rounds; folding the chain would intern quadratically
+    cnf = chain_family(1, 998, mode="all-equal")
+    random.Random(5).shuffle(cnf.clauses)
+    store, root = compile_cnf(cnf, 0, order=natural_order(1000))
+    assert store.num_vertices <= 20_000
+    assert model_count(store, root, scope=store.order.vars) == 2
+
+
 def test_unknown_schedule_rejected():
     with pytest.raises(ValueError):
         compile_cnf(CNF(2), 0, order=natural_order(2), schedule="random")

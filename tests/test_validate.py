@@ -1,5 +1,6 @@
 """Canonicity validation: structural flags and the exact semantic pass."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from kcdag import FALSE, TRUE
 from kcdag.compiler import compile_cnf
 from kcdag.decompose import decompose
 from kcdag.engine import DiagramStore
+from kcdag.errors import InputError
 from kcdag.families import random_cnf
 from kcdag.ordering import natural_order
 from kcdag.store import INF
@@ -157,6 +159,9 @@ def test_semantic_limit_gates_the_exact_pass():
     report = validate(store, literal, 1, semantic_limit=1)
     assert (report.exact_checked, report.skipped) == (1, 0)
     assert report.decomposition_finest_ok is True
+    # a negative limit would skip every vertex and report ok
+    with pytest.raises(InputError):
+        validate(store, root, 1, semantic_limit=-1)
 
 
 def test_summary_mentions_every_flag():
