@@ -1,7 +1,8 @@
 """Command line interface.
 
 Machine-readable results go to stdout (JSON for scalar results, kdag/dot/
-DIMACS text for artifacts); diagnostics go to stderr.  Exit codes: 0 on
+DIMACS text for artifacts); diagnostics go to stderr, and so does compile's
+stats line when the diagram goes to stdout.  Exit codes: 0 on
 success, 1 on operational failure (bad input, failed validation), 2 on usage
 errors (argparse's default).
 """
@@ -102,12 +103,13 @@ def _cmd_compile(args) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
     if args.output:
         _write_text(args.output, diagram_io.serialize(store, root, bound))
+    # with the diagram on stdout, the stats line is a diagnostic
     print(json.dumps({
         "vertices": store.vertex_count(root),
         "edges": store.size(root),
         "ms": round(ms, 3),
         "interned": store.num_vertices,
-    }))
+    }), file=sys.stderr if args.output == "-" else sys.stdout)
     return 0
 
 
@@ -271,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="decomposition bound: non-negative integer or inf")
     c.add_argument("--order", choices=["minfill", "natural"], default="minfill")
     c.add_argument("--schedule", choices=SCHEDULES, default="bucket")
-    c.add_argument("-o", "--output", help="write the diagram here (kdag format)")
+    c.add_argument("-o", "--output",
+                   help="write the diagram here (kdag format); with -, the "
+                        "stats line goes to stderr")
     c.set_defaults(fn=_cmd_compile)
 
     c = sub.add_parser("convert", help="convert a diagram to another bound")

@@ -14,7 +14,9 @@ def decompose(store: DiagramStore, u: int, bound: Bound) -> int:
     """Canonical form of u at the given bound.
 
     u may be any ordered raw diagram (make_decision/make_conj enforce the
-    order); conjunction children that exceed the bound are merged.
+    order); conjunction children that exceed the bound are merged.  A
+    conjunction vertex is interned only when it is kept: as the result, or
+    as a branch of a decision vertex the walk builds.
     """
     return store.decompose(u, parse_bound(bound))
 

@@ -20,6 +20,11 @@ vertices without canonicalizing; the canonicalizing constructors are the
 internal _decision / _conj_parts, which is what decompose, convert_down and
 the apply-style operations are built from.
 
+A conjunction vertex is interned only when it is kept.  decompose's rebuild
+walk carries a conjunction as pending, the tuple of its canonical factors in
+the order of a conjunction vertex's children, and interns it only as the
+walk's result or as a branch of a decision vertex that it builds.
+
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
 """
@@ -45,7 +50,7 @@ KIND_CONJ = 3
 # refers to their entries, and every result is refilled on demand.
 _MEMO_TABLES = (
     "_memo_merge",      # _merge_bigs, convert_down: i -> {factors: their AND}
-    "_memo_decompose",  # decompose: i -> {u: result}
+    "_memo_decompose",  # decompose: i -> {u: result, a vertex or pending}
     "_memo_cofactor",   # _cofactor_top: (u, i)
     "_memo_restrict",   # _restrict1: (x, b, i) -> {u: result}
     "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
@@ -371,16 +376,74 @@ class DiagramStore:
             self.make_conj([c for c in khi if c not in shared]))
         return self._conj_parts([*shared, residual], i)
 
-    def _conj_parts(self, parts, i):
+    def _pending_decision(self, var, lo, hi, i):
+        """_decision's rules where a branch may be pending, a conjunction
+        kept as the sorted tuple of its factors, and a conjunction result
+        is returned as one.  A pending branch is interned only as the
+        branch of a decision vertex built.
+
+        It is kept apart from _decision, which the apply calls with vertex
+        branches only, so that the apply pays nothing for it.
+        """
+        if i == 0:
+            # bound 0 has no conjunctions, so nothing is pending
+            return self.make_decision(var, lo, hi)
+        klo = lo if lo.__class__ is tuple else self._parts(lo)
+        khi = hi if hi.__class__ is tuple else self._parts(hi)
+        if klo == khi:
+            # also a pending conjunction against its own vertex
+            return lo
+        # var precedes every factor of both branches, so a literal or a
+        # residual decision vertex on it comes first in a pending result
+        if lo == FALSE:
+            lit = self.literal(var, True)
+            return lit if hi == TRUE else (lit, *khi)
+        if hi == FALSE:
+            lit = self.literal(var, False)
+            return lit if lo == TRUE else (lit, *klo)
+        shared = set(klo).intersection(khi)
+        if shared and i != INF:
+            # as in _decision, with the residue's size read from the parts
+            vs = self._vs
+            big = None
+            shared_nv = 0
+            for c in shared:
+                nv = vs[c].bit_count()
+                shared_nv += nv
+                if nv > i:
+                    big = c
+            if big is not None:
+                union = 0
+                for c in klo + khi:
+                    union |= vs[c]
+                if 1 + union.bit_count() - shared_nv > i:
+                    shared.remove(big)
+        # with no factor shared, this is the vertex itself, whose branches
+        # are kept: a pending one is interned here
+        residual = self.make_decision(
+            var, self.make_conj([c for c in klo if c not in shared]),
+            self.make_conj([c for c in khi if c not in shared]))
+        if not shared:
+            return residual
+        # at most one of these factors exceeds the bound
+        return (residual, *[c for c in klo if c in shared])
+
+    def _conj_parts(self, parts, i, pending=False):
         """Canonical conjunction of canonical, variable-disjoint factors.
 
-        Factors may be leaves or conjunction vertices; they are collapsed
-        and flattened first.  If more than one surviving factor exceeds the
-        bound, the oversized ones are merged into a single decision vertex.
+        Factors may be leaves, conjunction vertices or pending conjunctions;
+        they are collapsed and flattened first.  If more than one surviving
+        factor exceeds the bound, the oversized ones are merged into a
+        single decision vertex.  With pending set, a conjunction result is
+        returned as a pending conjunction: the tuple of its factors, sorted
+        like a conjunction vertex's children.
         """
         flat = []
         kind = self._kind
         for p in parts:
+            if pending and p.__class__ is tuple:
+                flat.extend(p)
+                continue
             k = kind[p]
             if k == KIND_FALSE:
                 return FALSE
@@ -402,6 +465,9 @@ class DiagramStore:
                 flat.append(self._merge_bigs(tuple(bigs), i))
                 if len(flat) == 1:
                     return flat[0]
+        if pending:
+            flat.sort(key=self._minrank.__getitem__)
+            return tuple(flat)
         return self._intern_conj(flat)
 
     def _merge_bigs(self, bigs, i, lone=2):
@@ -458,12 +524,13 @@ class DiagramStore:
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
 
-    def _rebuild(self, u, i, memo, keep):
+    def _rebuild(self, u, i, memo, keep, pending=False):
         """Walk step that rebuilds u from its rebuilt children through the
         canonicalizing constructors and stores the result in memo.
 
         keep(c) is what child c becomes without a frame of its own, or None
-        when c must be rebuilt first.
+        when c must be rebuilt first.  With pending set, a conjunction
+        result is stored as a pending conjunction (see _conj_parts).
         """
         dec = self._kind[u] == KIND_DECISION
         parts = []
@@ -474,16 +541,23 @@ class DiagramStore:
                 k = memo[c]
             parts.append(k)
         if dec:
-            memo[u] = self._decision(self._var[u], parts[0], parts[1], i)
+            decide = self._pending_decision if pending else self._decision
+            memo[u] = decide(self._var[u], parts[0], parts[1], i)
         else:
-            memo[u] = self._conj_parts(parts, i)
+            memo[u] = self._conj_parts(parts, i, pending)
 
     def decompose(self, u, i):
-        """Canonical form at bound i of any ordered raw diagram."""
+        """Canonical form at bound i of any ordered raw diagram.
+
+        The walk interns only what is kept: a conjunction stays pending
+        until it is the result or a branch of a decision vertex built.
+        """
         memo = self._memo_decompose.setdefault(i, {FALSE: FALSE, TRUE: TRUE})
         # every child is rebuilt; memo.get spares a frame for one already done
-        return _walk(u, memo,
-                     lambda u: self._rebuild(u, i, memo, memo.get))
+        r = _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True))
+        if r.__class__ is tuple:
+            r = memo[u] = self._intern_conj(list(r))
+        return r
 
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.

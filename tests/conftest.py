@@ -6,6 +6,8 @@ goes through the diagram engine, so these are independent ground truth.
 A "table" for a scope of n variables is a Python int of 2^n bits; bit m is
 the formula's value under the assignment where variable k of the sorted
 scope takes bit k of m.  That matches kcdag.cnf.iter_assignments.
+
+parity_pairs builds one CNF family that several test modules share.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ import pytest
 
 from kcdag import ops
 from kcdag.cnf import CNF
+
+
+def parity_pairs(half):
+    """CNF of x_k <-> x_{2 half + 1 - k} for k = 1..half.
+
+    Under the natural order every pair spans the middle, so the bound-0
+    diagram has 3 * 2^half - 1 vertices while the bound-1 diagram is a
+    conjunction of `half` two-variable factors.
+    """
+    cnf = CNF(2 * half)
+    for k in range(1, half + 1):
+        cnf.add_clause([-k, 2 * half + 1 - k])
+        cnf.add_clause([k, -(2 * half + 1 - k)])
+    return cnf
 
 
 def var_tables(scope):

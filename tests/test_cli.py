@@ -11,6 +11,7 @@ from kcdag.compiler import SCHEDULES, compile_cnf
 from kcdag.diagram_io import deserialize, serialize
 from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
+from kcdag.ops import model_count
 from kcdag.ordering import natural_order
 from kcdag.store import INF
 
@@ -44,6 +45,22 @@ def test_compile_from_stdin(capsys, monkeypatch, tmp_path):
     assert run(["compile", "-", "--bound", "inf",
                 "-o", str(tmp_path / "c.kdag"), "--order", "natural"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_compile_to_stdout_pipes_into_the_next_command(capsys, cnf_file,
+                                                      monkeypatch):
+    # `compile f.cnf -o - | count -`: the diagram alone goes to stdout, the
+    # stats line to stderr
+    assert run(["compile", cnf_file, "--bound", "1", "-o", "-"]) == 0
+    captured = capsys.readouterr()
+    store, root, bound = deserialize(captured.out)
+    assert bound == 1
+    info = json.loads(captured.err)
+    assert info["vertices"] == store.vertex_count(root)
+    monkeypatch.setattr("sys.stdin", io.StringIO(captured.out))
+    assert run(["count", "-"]) == 0
+    count = json.loads(capsys.readouterr().out)["models"]
+    assert count == str(model_count(store, root, scope=store.order.vars))
 
 
 def test_compile_matches_library(capsys, cnf_file, tmp_path):

@@ -9,7 +9,6 @@ something that never touches the diagram code.
 import pytest
 
 from kcdag import FALSE, TRUE
-from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.convert import convert, convert_down
 from kcdag.engine import DiagramStore
@@ -18,7 +17,7 @@ from kcdag.ops import disjoin, negate
 from kcdag.ordering import natural_order
 from kcdag.store import INF
 
-from conftest import cnf_table, diagram_table, var_tables
+from conftest import cnf_table, diagram_table, parity_pairs, var_tables
 
 
 def robdd_vertex_count_oracle(table, n):
@@ -125,22 +124,11 @@ def test_leaves_convert_to_themselves():
         assert convert_down(store, FALSE, b) == FALSE
 
 
-def _parity_pairs(half):
-    # x_k <-> x_{2 half + 1 - k}: under the natural order every pair spans
-    # the middle, so the bound-0 diagram has 3 * 2^half - 1 vertices while
-    # the bound-1 diagram is a conjunction of `half` two-variable factors
-    cnf = CNF(2 * half)
-    for k in range(1, half + 1):
-        cnf.add_clause([-k, 2 * half + 1 - k])
-        cnf.add_clause([k, -(2 * half + 1 - k)])
-    return cnf
-
-
 def test_convert_down_builds_no_dead_vertices():
     # merging the eight oversized factors top-down interns only vertices of
     # the result; converting each factor on its own first would intern
     # about twice as many
-    cnf = _parity_pairs(8)
+    cnf = parity_pairs(8)
     store, r1 = compile_cnf(cnf, 1, order=natural_order(16))
     before = store.num_vertices
     r0 = convert_down(store, r1, 0)

@@ -11,13 +11,14 @@ from kcdag import FALSE, TRUE
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
 from kcdag.decompose import decompose
+from kcdag.diagram_io import deserialize, serialize
 from kcdag.engine import DiagramStore
 from kcdag.families import random_cnf
 from kcdag.ordering import natural_order
 from kcdag.store import INF
 from kcdag.validate import validate
 
-from conftest import cnf_table, diagram_table, var_tables
+from conftest import cnf_table, diagram_table, parity_pairs, var_tables
 
 
 @pytest.fixture
@@ -112,6 +113,56 @@ def test_decompose_splits_a_conjunction_of_literals(store):
         assert store.is_conj(u)
         assert set(store.children(u)) == {store.literal(1), store.literal(2)}
     assert decompose(store, raw, 0) == raw
+
+
+def test_decompose_interns_only_its_result():
+    # the walk keeps each conjunction pending until it is kept, so raising
+    # the bound-0 parity pairs to a bound already compiled interns nothing
+    cnf = parity_pairs(8)
+    store = DiagramStore(natural_order(16))
+    r0 = compile_cnf(cnf, 0, store=store)[1]
+    want = {b: compile_cnf(cnf, b, store=store)[1] for b in (INF, 1)}
+    for bound, root in want.items():
+        before = store.num_vertices
+        assert decompose(store, r0, bound) == root
+        assert store.num_vertices == before
+    # in a store holding only the bound-0 form, it interns no more vertices
+    # than its result has, and the same ids come back once the memo is gone
+    fresh, q0, _ = deserialize(serialize(store, r0, 0))
+    got = {}
+    for bound in want:
+        before = fresh.num_vertices
+        got[bound] = decompose(fresh, q0, bound)
+        assert fresh.num_vertices - before <= fresh.vertex_count(got[bound])
+    # a pending conjunction lists its factors in the order of a conjunction
+    # vertex's children, so two forms of one conjunction compare equal
+    pending = [r for memo in fresh._memo_decompose.values()
+               for r in memo.values() if r.__class__ is tuple]
+    assert pending
+    for r in pending:
+        assert list(r) == sorted(r, key=fresh.min_rank)
+    before = fresh.num_vertices
+    fresh.clear_memo()
+    for bound in want:
+        assert decompose(fresh, q0, bound) == got[bound]
+    assert fresh.num_vertices == before
+
+
+@pytest.mark.parametrize("interned_first", [False, True])
+def test_decision_between_two_forms_of_one_conjunction(store, interned_first):
+    # both branches are x2 AND x3, one as a raw conjunction and one as a
+    # decision chain, so the decision on x1 reduces to that conjunction,
+    # whether the branches are pending or one is already interned
+    a, b = store.literal(2), store.literal(3)
+    conj = store.make_conj([a, b])
+    chain = store.make_decision(2, FALSE, b)
+    raw = store.make_decision(1, conj, chain)
+    for bound in (1, INF):
+        if interned_first:
+            assert decompose(store, conj, bound) == conj
+        assert decompose(store, raw, bound) == conj
+        assert decompose(store, store.make_decision(1, chain, conj),
+                         bound) == conj
 
 
 def test_decompose_is_idempotent_on_random_instances():
