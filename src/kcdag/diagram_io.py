@@ -16,7 +16,8 @@ what the diagram was compiled or converted to.
 
 from __future__ import annotations
 
-from .engine import KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE, DiagramStore
+from .engine import (
+    FALSE, KIND_CONJ, KIND_DECISION, KIND_FALSE, KIND_TRUE, TRUE, DiagramStore)
 from .errors import KcdagError, SerializationError
 from .ordering import VariableOrder
 from .store import Bound, format_bound, parse_bound
@@ -117,9 +118,9 @@ def deserialize(text: str, store: DiagramStore | None = None):
         tag = parts[0]
         try:
             if tag == "F" and len(parts) == 1:
-                ids.append(store.make_leaf(False))
+                ids.append(FALSE)
             elif tag == "T" and len(parts) == 1:
-                ids.append(store.make_leaf(True))
+                ids.append(TRUE)
             elif tag == "D" and len(parts) == 4:
                 var = int(parts[1])
                 ids.append(store.make_decision(var, ref(parts[2]), ref(parts[3])))

@@ -23,7 +23,10 @@ the apply-style operations are built from.
 A conjunction vertex is interned only when it is kept.  decompose's rebuild
 walk carries a conjunction as pending, the tuple of its canonical factors in
 the order of a conjunction vertex's children, and interns it only as the
-walk's result or as a branch of a decision vertex that it builds.
+walk's result or as a branch of a decision vertex that it builds.  The
+decision rules live in _decision alone: its pending flag lets a branch be
+pending and returns a conjunction result as pending, and the apply, negate
+and _merge_bigs leave it clear.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
@@ -114,9 +117,6 @@ class DiagramStore:
 
     # ------------------------------------------------------------------
     # raw constructors
-
-    def make_leaf(self, value):
-        return TRUE if value else FALSE
 
     def make_decision(self, var, lo, hi):
         """Ordered, reduced decision vertex; no decomposition is attempted."""
@@ -326,84 +326,38 @@ class DiagramStore:
     # child arguments are already canonical at bound i, and results are
     # canonical at bound i.
 
-    def _decision(self, var, lo, hi, i):
+    def _decision(self, var, lo, hi, i, pending=False):
         """Canonical vertex for (var ? hi : lo) given canonical branches.
 
         The rules apply in order: reduction, literal extraction, then
-        extraction of the factors shared by both branches.
+        extraction of the factors shared by both branches.  With pending
+        set, a conjunction branch is pending and a conjunction result is
+        returned as pending (see _conj_parts); a pending branch is interned
+        only as the branch of a decision vertex built.
         """
         if lo == hi:
             return lo
         if i == 0:
-            return self.make_decision(var, lo, hi)
-        if lo == FALSE:
-            # the vertex is literal AND hi
-            return self._conj_parts([self.literal(var, True), hi], i)
-        if hi == FALSE:
-            return self._conj_parts([self.literal(var, False), lo], i)
-        if self._kind[lo] != KIND_CONJ and self._kind[hi] != KIND_CONJ:
-            # two distinct single factors share none
-            return self.make_decision(var, lo, hi)
-        # factors common to both branches come out of the decision, a branch
-        # that is itself a factor of the other included:
-        # <x, p, p AND R>  =  p AND <x, true, R>
-        klo = self._parts(lo)
-        khi = self._parts(hi)
-        shared = set(klo).intersection(khi)
-        if not shared:
-            return self.make_decision(var, lo, hi)
-        vs = self._vs
-        big = None
-        shared_nv = 0
-        for c in shared:
-            nv = vs[c].bit_count()
-            shared_nv += nv
-            if nv > i:
-                big = c
-        if big is not None:
-            # keeping the big shared factor is only allowed when the
-            # residual decision vertex stays within the bound
-            nv_res = 1 + (vs[lo] | vs[hi]).bit_count() - shared_nv
-            if nv_res > i:
-                # the big factor moves back into both residues
-                shared.remove(big)
-                if not shared:
-                    return self.make_decision(var, lo, hi)
-        # the residues share no factor, or only the big one moved back into
-        # them, so no rule applies to their decision vertex
-        residual = self.make_decision(
-            var, self.make_conj([c for c in klo if c not in shared]),
-            self.make_conj([c for c in khi if c not in shared]))
-        return self._conj_parts([*shared, residual], i)
-
-    def _pending_decision(self, var, lo, hi, i):
-        """_decision's rules where a branch may be pending, a conjunction
-        kept as the sorted tuple of its factors, and a conjunction result
-        is returned as one.  A pending branch is interned only as the
-        branch of a decision vertex built.
-
-        It is kept apart from _decision, which the apply calls with vertex
-        branches only, so that the apply pays nothing for it.
-        """
-        if i == 0:
             # bound 0 has no conjunctions, so nothing is pending
             return self.make_decision(var, lo, hi)
-        klo = lo if lo.__class__ is tuple else self._parts(lo)
-        khi = hi if hi.__class__ is tuple else self._parts(hi)
-        if klo == khi:
-            # also a pending conjunction against its own vertex
-            return lo
-        # var precedes every factor of both branches, so a literal or a
-        # residual decision vertex on it comes first in a pending result
-        if lo == FALSE:
-            lit = self.literal(var, True)
-            return lit if hi == TRUE else (lit, *khi)
-        if hi == FALSE:
-            lit = self.literal(var, False)
-            return lit if lo == TRUE else (lit, *klo)
-        shared = set(klo).intersection(khi)
-        if shared and i != INF:
-            # as in _decision, with the residue's size read from the parts
+        if lo == FALSE or hi == FALSE:
+            # the vertex is a literal AND the other branch
+            lead = self.literal(var, lo == FALSE)
+            rest = hi if lo == FALSE else lo
+            if rest == TRUE:
+                return lead
+            rest = rest if rest.__class__ is tuple else self._parts(rest)
+        elif (not pending and self._kind[lo] != KIND_CONJ
+                and self._kind[hi] != KIND_CONJ):
+            # two distinct single factors share none
+            return self.make_decision(var, lo, hi)
+        else:
+            # factors common to both branches come out of the decision, a
+            # branch that is itself a factor of the other included:
+            # <x, p, p AND R>  =  p AND <x, true, R>
+            klo = lo if lo.__class__ is tuple else self._parts(lo)
+            khi = hi if hi.__class__ is tuple else self._parts(hi)
+            shared = set(klo).intersection(khi)
             vs = self._vs
             big = None
             shared_nv = 0
@@ -413,20 +367,36 @@ class DiagramStore:
                 if nv > i:
                     big = c
             if big is not None:
+                # keeping the big shared factor is only allowed when the
+                # residual decision vertex stays within the bound
                 union = 0
                 for c in klo + khi:
                     union |= vs[c]
                 if 1 + union.bit_count() - shared_nv > i:
+                    # the big factor moves back into both residues
                     shared.remove(big)
-        # with no factor shared, this is the vertex itself, whose branches
-        # are kept: a pending one is interned here
-        residual = self.make_decision(
-            var, self.make_conj([c for c in klo if c not in shared]),
-            self.make_conj([c for c in khi if c not in shared]))
-        if not shared:
-            return residual
-        # at most one of these factors exceeds the bound
-        return (residual, *[c for c in klo if c in shared])
+            if not shared:
+                # no rule applies, so the vertex keeps its branches
+                if pending:
+                    lo = self._kept(lo)
+                    hi = self._kept(hi)
+                return self.make_decision(var, lo, hi)
+            # the residues share no factor, or only the big one moved back
+            # into them, so no rule applies to their decision vertex
+            lead = self.make_decision(
+                var, self.make_conj([c for c in klo if c not in shared]),
+                self.make_conj([c for c in khi if c not in shared]))
+            rest = [c for c in klo if c in shared]
+        # var precedes every factor of both branches, so the decision vertex
+        # on it comes first; at most one factor exceeds the bound, as lead
+        # fits it whenever a big shared factor is kept, so none are merged
+        if pending:
+            return (lead, *rest)
+        return self._intern_conj([lead, *rest])
+
+    def _kept(self, r):
+        """r as a vertex: a pending conjunction is interned."""
+        return self._intern_conj(list(r)) if r.__class__ is tuple else r
 
     def _conj_parts(self, parts, i, pending=False):
         """Canonical conjunction of canonical, variable-disjoint factors.
@@ -529,8 +499,9 @@ class DiagramStore:
         canonicalizing constructors and stores the result in memo.
 
         keep(c) is what child c becomes without a frame of its own, or None
-        when c must be rebuilt first.  With pending set, a conjunction
-        result is stored as a pending conjunction (see _conj_parts).
+        when c must be rebuilt first.  pending goes to _decision and
+        _conj_parts: with it set, a child's result may be pending and a
+        conjunction result is stored as pending.
         """
         dec = self._kind[u] == KIND_DECISION
         parts = []
@@ -541,8 +512,8 @@ class DiagramStore:
                 k = memo[c]
             parts.append(k)
         if dec:
-            decide = self._pending_decision if pending else self._decision
-            memo[u] = decide(self._var[u], parts[0], parts[1], i)
+            memo[u] = self._decision(self._var[u], parts[0], parts[1], i,
+                                     pending)
         else:
             memo[u] = self._conj_parts(parts, i, pending)
 
@@ -553,11 +524,11 @@ class DiagramStore:
         until it is the result or a branch of a decision vertex built.
         """
         memo = self._memo_decompose.setdefault(i, {FALSE: FALSE, TRUE: TRUE})
-        # every child is rebuilt; memo.get spares a frame for one already done
-        r = _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True))
-        if r.__class__ is tuple:
-            r = memo[u] = self._intern_conj(list(r))
-        return r
+        # every child is rebuilt; memo.get spares a frame for one already done.
+        # The memo keeps even the root's conjunction pending, so _decision
+        # never meets one conjunction as a vertex and as pending.
+        return self._kept(
+            _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True)))
 
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.

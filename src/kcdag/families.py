@@ -52,6 +52,8 @@ def random_cnf(num_vars: int, num_clauses: int, width: int = 3, seed: int = 0) -
         raise InputError("clause width exceeds variable count")
     if width < 0:
         raise InputError("clause width must not be negative")
+    if num_clauses < 0:
+        raise InputError("clause count must not be negative")
     rng = random.Random(seed)
     cnf = CNF(num_vars)
     for _ in range(num_clauses):

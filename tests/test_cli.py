@@ -209,6 +209,7 @@ def test_gen_families(capsys, tmp_path):
                 "--seed", "4", "-o", str(dest)]) == 0
     parsed = parse_dimacs(dest.read_text())
     assert parsed.num_vars == 6 and len(parsed.clauses) == 9
+    assert run(["gen", "random", "--vars", "3", "--clauses", "-1"]) == 1
 
 
 def test_errors(capsys, tmp_path):

@@ -152,7 +152,7 @@ def test_decompose_interns_only_its_result():
 def test_decision_between_two_forms_of_one_conjunction(store, interned_first):
     # both branches are x2 AND x3, one as a raw conjunction and one as a
     # decision chain, so the decision on x1 reduces to that conjunction,
-    # whether the branches are pending or one is already interned
+    # whether or not decompose has already rebuilt the conjunction
     a, b = store.literal(2), store.literal(3)
     conj = store.make_conj([a, b])
     chain = store.make_decision(2, FALSE, b)
@@ -163,6 +163,37 @@ def test_decision_between_two_forms_of_one_conjunction(store, interned_first):
         assert decompose(store, raw, bound) == conj
         assert decompose(store, store.make_decision(1, chain, conj),
                          bound) == conj
+
+
+def test_decision_modes_agree():
+    # _decision's rules build one vertex whether the branches are vertices
+    # (the apply) or pending conjunctions (decompose's walk); the bound-2
+    # forms of seeds 12 and 23 keep a shared factor larger than the bound
+    def pend(r):
+        return store.children(r) if store.is_conj(r) else r
+
+    checked = 0
+    kept_big = set()
+    for seed in range(30):
+        store, root = compile_cnf(random_cnf(12, 36, seed=seed), 0)
+        for u in store.topological(root):
+            if not store.is_decision(u):
+                continue
+            x = store.var_of(u)
+            for bound in (1, 2, 3, INF):
+                lo = decompose(store, store.lo(u), bound)
+                hi = decompose(store, store.hi(u), bound)
+                want = decompose(store, u, bound)
+                assert store._decision(x, lo, hi, bound) == want
+                assert store._kept(store._decision(
+                    x, pend(lo), pend(hi), bound, pending=True)) == want
+                checked += 1
+                if any(len(store.vars_of(c)) > bound
+                       and c in store._parts(lo) and c in store._parts(hi)
+                       for c in store.children(want)):
+                    kept_big.add((seed, bound))
+    assert checked > 7000
+    assert {(12, 2), (23, 2)} <= kept_big
 
 
 def test_decompose_is_idempotent_on_random_instances():

@@ -31,6 +31,8 @@ def test_random_cnf_width_check():
         random_cnf(2, 5, width=3)
     with pytest.raises(InputError):  # a typed error, not random.sample's
         random_cnf(2, 5, width=-1)
+    with pytest.raises(InputError):  # not an empty formula
+        random_cnf(3, -1)
 
 
 def test_single_link_chain_is_biconditional():

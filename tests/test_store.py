@@ -25,8 +25,7 @@ def store():
 
 
 def test_leaves_are_preinterned(store):
-    assert store.make_leaf(False) == FALSE == 0
-    assert store.make_leaf(True) == TRUE == 1
+    assert FALSE == 0 and TRUE == 1
     assert store.kind(FALSE) == KIND_FALSE
     assert store.kind(TRUE) == KIND_TRUE
     assert store.is_leaf(TRUE) and store.is_leaf(FALSE)
