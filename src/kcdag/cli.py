@@ -151,7 +151,7 @@ def _cmd_query(args) -> int:
         if kind == "eq":
             result = ops.equivalent(store, root, root2)
         else:
-            common = bound if bound == bound2 else 0
+            common = min(bound, bound2)
             a = do_convert(store, root, bound, common)
             b = do_convert(store, root2, bound2, common)
             result = ops.entails(store, a, b, common)

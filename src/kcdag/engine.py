@@ -28,9 +28,16 @@ decision rules live in _decision alone: its pending flag lets a branch be
 pending and returns a conjunction result as pending, and the apply, negate
 and _merge_bigs leave it clear.
 
+The computed tables hold results, so that a repeated call returns at once.
+A walk's own scaffolding lives for the call: convert_down's merge keys, tuples
+of source-bound factors, and decompose's pending conjunctions that were not
+interned are gone when it returns.
+
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
 """
+
+from itertools import islice
 
 from .errors import (
     DecompositionError,
@@ -49,11 +56,14 @@ KIND_CONJ = 3
 
 # the computed tables, one per memoised operation and keyed by that
 # operation's own arguments; a walk's table holds one dict per bound, keyed by
-# the walk's key.  clear_memo empties them all at any time: nothing else
-# refers to their entries, and every result is refilled on demand.
+# the walk's key.  They hold results only; a walk's own keys and partial
+# results live for the call.  clear_memo empties them all at any time: nothing
+# else refers to their entries, and every result is refilled on demand.
 _MEMO_TABLES = (
-    "_memo_merge",      # _merge_bigs, convert_down: i -> {factors: their AND}
-    "_memo_decompose",  # decompose: i -> {u: result, a vertex or pending}
+    "_memo_merge",      # _merge_bigs: i -> {factors: their AND}; of a
+                        # convert_down, only its root key
+    "_memo_decompose",  # decompose: i -> {u: result, a vertex or an
+                        # interned conjunction's children}
     "_memo_cofactor",   # _cofactor_top: (u, i)
     "_memo_restrict",   # _restrict1: (x, b, i) -> {u: result}
     "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
@@ -451,17 +461,23 @@ class DiagramStore:
         are at least `lone`: 2 for factors canonical at i, as one of them
         is canonical as it is; 1 for factors canonical only at a larger
         bound (convert_down).  A key maps to one vertex in either mode.
+        Keys of factors canonical at i stay in _memo_merge, where later
+        merges find them; convert_down's keys live for the call, and only
+        its root key is kept.
         """
-        memo = self._memo_merge.setdefault(i, {})
+        table = self._memo_merge.setdefault(i, {})
+        r = table.get(bigs)
+        if r is not None:
+            return r
         vs = self._vs
         by_rank = self._minrank.__getitem__
-        if bigs not in memo:
-            # the factors of a key's cofactors stay disjoint from the rest
-            union = 0
-            for p in bigs:
-                if union & vs[p]:
-                    raise DecompositionError("factors to merge share variables")
-                union |= vs[p]
+        # the factors of a key's cofactors stay disjoint from the rest
+        union = 0
+        for p in bigs:
+            if union & vs[p]:
+                raise DecompositionError("factors to merge share variables")
+            union |= vs[p]
+        memo = table if lone == 2 else {}
 
         def step(bigs):
             first = bigs[0]
@@ -489,7 +505,8 @@ class DiagramStore:
             memo[bigs] = self._decision(self._var[first], halves[0],
                                         halves[1], i)
 
-        return _walk(bigs, memo, step)
+        r = table[bigs] = _walk(bigs, memo, step)
+        return r
 
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
@@ -522,13 +539,32 @@ class DiagramStore:
 
         The walk interns only what is kept: a conjunction stays pending
         until it is the result or a branch of a decision vertex built.
+        Pending conjunctions live for the call: afterwards the table keeps
+        a conjunction result only when it was interned.
         """
         memo = self._memo_decompose.setdefault(i, {FALSE: FALSE, TRUE: TRUE})
+        done = len(memo)
         # every child is rebuilt; memo.get spares a frame for one already done.
         # The memo keeps even the root's conjunction pending, so _decision
         # never meets one conjunction as a vertex and as pending.
-        return self._kept(
+        r = self._kept(
             _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True)))
+        # of the entries this call added, the last in the table, an interned
+        # conjunction is kept as its vertex's own children tuple, which is
+        # still pending and adds no tuple; the other pending ones go
+        uconj = self._uconj
+        kids = self._kids
+        drop = []
+        for v, p in islice(reversed(memo.items()), len(memo) - done):
+            if p.__class__ is tuple:
+                w = uconj.get(p)
+                if w is None:
+                    drop.append(v)
+                else:
+                    memo[v] = kids[w]
+        for v in drop:
+            del memo[v]
+        return r
 
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.
@@ -536,7 +572,9 @@ class DiagramStore:
         Factors that already fit the target bound are kept verbatim, here
         and in every cofactor.  The oversized ones are merged straight from
         their bound-j form, top-down, so no bound-i form of a single
-        oversized factor is built unless it is part of the result.
+        oversized factor is built unless it is part of the result.  The
+        merge's keys live for the call; the store keeps only the merge of
+        the root's oversized factors, so converting u again interns nothing.
         """
         vs = self._vs
         if vs[u].bit_count() <= i:

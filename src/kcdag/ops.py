@@ -122,9 +122,15 @@ def equivalent(store: DiagramStore, u: int, v: int) -> bool:
 
 
 def entails(store: DiagramStore, u: int, v: int, bound: Bound) -> bool:
-    """Sentential entailment u |= v via u AND NOT v."""
+    """Sentential entailment u |= v, decided as u AND v equivalent to u.
+
+    One conjoin and no negation: the negation of a conjunction has no
+    compact form at any bound >= 1.  equivalent compares ids first and
+    decomposes both only when they differ, so u need not be canonical at
+    `bound`.
+    """
     i = parse_bound(bound)
-    return store.conjoin(u, store.negate(v, i), i) == FALSE
+    return equivalent(store, store.conjoin(u, v, i), u)
 
 
 def model_count(store: DiagramStore, u: int,

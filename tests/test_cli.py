@@ -119,6 +119,31 @@ def test_queries(capsys, cnf_file, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_entailment_at_mixed_bounds(capsys, tmp_path):
+    # interleaved pairs x_k <-> x_{12+k}: bounds 1 and inf meet at bound 1,
+    # where each pair is a factor; at bound 0 both would be exponential
+    full = chain_family(12, 0)
+    weak = chain_family(12, 0)
+    weak.clauses.pop()
+    paths = {}
+    for name, cnf in (("full", full), ("weak", weak)):
+        src = tmp_path / f"{name}.cnf"
+        src.write_text(format_dimacs(cnf))
+        for bound in ("1", "inf"):
+            paths[name, bound] = _compile(capsys, str(src), tmp_path, bound,
+                                          name=f"{name}{bound}.kdag",
+                                          extra=("--order", "natural"))[0]
+
+    def se(a, b):
+        assert run(["query", "se", paths[a], paths[b]]) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    assert se(("full", "1"), ("weak", "inf")) is True
+    assert se(("full", "inf"), ("weak", "1")) is True
+    assert se(("weak", "1"), ("full", "inf")) is False
+    assert se(("full", "inf"), ("full", "1")) is True
+
+
 def test_apply_roundtrip(capsys, cnf_file, tmp_path):
     out, _ = _compile(capsys, cnf_file, tmp_path, "1")
     neg = str(tmp_path / "neg.kdag")

@@ -135,14 +135,21 @@ def test_convert_down_builds_no_dead_vertices():
     interned = store.num_vertices - before
     assert store.vertex_count(r0) == 3 * 2 ** 8 - 1
     assert interned <= store.vertex_count(r0)
+    # the merge's keys live for the call: the store keeps only the root's
+    # key, and converting again interns nothing
+    assert len(store._memo_merge[0]) <= 1
+    before = store.num_vertices
+    assert convert_down(store, r1, 0) == r0
+    assert store.num_vertices == before
     assert compile_cnf(cnf, 0, store=store)[1] == r0
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
 def test_convert_down_shares_the_merge_table_with_conjoin(bound):
-    # one table maps factor tuples to their canonical conjunction, whether
-    # conjoin merged canonical factors or convert_down merged source-bound
-    # ones; each may read the other's entries and must still give one vertex
+    # one table maps factor tuples to their canonical conjunction: the keys
+    # of conjoin's merges of canonical factors, and the root key of each
+    # convert_down of source-bound ones; each may read the other's entries
+    # and must still give one vertex
     filled = 0
     vt = var_tables(range(1, 11))
     for seed in range(8):

@@ -32,6 +32,7 @@ from conftest import (
     clause_sat_table,
     cnf_table,
     diagram_table,
+    parity_pairs,
     project_table,
     term_table,
     var_tables,
@@ -212,6 +213,21 @@ def test_equivalence_and_entailment(vt8):
     assert entails(store, conjoin(store, u0, store.literal(5), 0), u0, 0)
     assert entails(store, u0, disjoin(store, u3, store.literal(5), 3), 3)
     assert not entails(store, TRUE, u0, 0) or u0 == TRUE
+
+
+def test_entailment_interns_no_negation():
+    # ten pairs x_k <-> x_{21-k} against the same pairs less one clause: the
+    # negation of either is exponential at every bound, their conjunction is
+    # not, whichever way the entailment goes
+    strong, weak = parity_pairs(10), parity_pairs(10)
+    weak.clauses.pop()
+    store = DiagramStore(natural_order(20))
+    u = compile_cnf(strong, INF, store=store)[1]
+    v = compile_cnf(weak, INF, store=store)[1]
+    before = store.num_vertices
+    assert entails(store, u, v, INF)
+    assert not entails(store, v, u, INF)
+    assert store.num_vertices - before < 100
 
 
 def test_consistency_validity_flags():
