@@ -36,7 +36,7 @@ def clause_diagram(store: DiagramStore, clause: Clause | Iterable) -> int:
     return acc
 
 
-SCHEDULES = ("bucket", "balanced", "sequential", "ordered")
+SCHEDULES = ("bucket", "balanced", "ordered")
 
 
 def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
@@ -53,10 +53,10 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     of its next variable; the roots of that elimination forest, which
     share no variable, are conjoined last.  Each of those lists is
     conjoined pair by pair, smallest union of variables first.
-    "balanced" conjoins all clauses in pairwise rounds, "sequential" is a
-    left fold in clause order, and "ordered" a left fold with clauses
-    sorted by the rank of their earliest variable, so the top of the order
-    gets constrained first.  Tautological and repeated clauses are dropped.
+    "balanced" conjoins all clauses in pairwise rounds, and "ordered" is a
+    left fold with clauses sorted by the rank of their earliest variable,
+    so the top of the order gets constrained first.  Tautological and
+    repeated clauses are dropped.
     """
     i = parse_bound(bound)
     if store is None:

@@ -215,9 +215,6 @@ class DiagramStore:
     def kind(self, u):
         return self._kind[u]
 
-    def is_leaf(self, u):
-        return self._kind[u] <= KIND_TRUE
-
     def is_decision(self, u):
         return self._kind[u] == KIND_DECISION
 
@@ -254,9 +251,6 @@ class DiagramStore:
             out.append(names[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
-
-    def min_rank(self, u):
-        return self._minrank[u]
 
     @property
     def num_vertices(self):
@@ -655,10 +649,11 @@ class DiagramStore:
         zero absorbs and 1 - zero is neutral; the memo key puts the smaller
         id first.  split(u, v, i), for a pair the memo lacks, returns its
         result; or None to expand it on its earliest variable; or a triple
-        (a, b, then) for a pair whose result comes from the result r of
-        the pair (a, b): when then is a list of literals on variables not
-        in r, it is their conjunction with r; else it is then(r), unless
-        that is again such a triple.
+        (a, b, then) for a pair whose result is the conjunction of the
+        result r of the pair (a, b) with the factors then, which share no
+        variable with r.  then is a tuple of canonical factors, or a list
+        of literals, which fit every bound and so join r's factors as they
+        are.
 
         Most pairs are expanded, and a frame kept in locals, pushed as a
         tuple, costs less than a generator, so the apply keeps its own
@@ -727,17 +722,13 @@ class DiagramStore:
                 if stage == 1:
                     r = memo[key] = self._decision(x, lo, r, i)
                 elif stage == 2:
-                    if then.__class__ is list:
-                        if r != FALSE:
-                            if r != TRUE:
-                                then.extend(self._parts(r))
-                            r = (then[0] if len(then) == 1
-                                 else self._intern_conj(then))
-                    else:
-                        r = then(r)
-                        if r.__class__ is tuple:
-                            u, v, then = r
-                            break
+                    if then.__class__ is tuple:
+                        r = self._conj_parts([*then, r], i)
+                    elif r != FALSE:
+                        if r != TRUE:
+                            then.extend(self._parts(r))
+                        r = (then[0] if len(then) == 1
+                             else self._intern_conj(then))
                     memo[key] = r
                 else:
                     return r
@@ -750,8 +741,7 @@ class DiagramStore:
         # disjoint operands, or overlapping ones whose parts include a
         # literal or a conjunction (i >= 1); peel the unit factors off both
         # sides first, since conjoining with a literal is a linear
-        # conditioning pass rather than a Shannon expansion.  None when the
-        # factors form a single block, left to Shannon expansion.
+        # conditioning pass rather than a Shannon expansion.
         vs = self._vs
         if not vs[u] & vs[v]:
             return self._conj_parts([*self._parts(u), *self._parts(v)], i)
@@ -802,51 +792,26 @@ class DiagramStore:
         if not rest_v:
             # every factor of v is also a factor of u
             return u
-        # group the factors into connected blocks by variable overlap;
-        # independent blocks conjoin separately
-        blocks = [[vs[p], [p], []] for p in rest_u]
+        # a factor that meets no factor of the other side passes through;
+        # the rest form one core pair, left to Shannon expansion when
+        # nothing passes through
+        umask = vmask = 0
+        for p in rest_u:
+            umask |= vs[p]
         for q in rest_v:
-            qvs = vs[q]
-            hit = None
-            keep = []
-            for blk in blocks:
-                if not blk[0] & qvs:
-                    keep.append(blk)
-                elif hit is None:
-                    hit = blk
-                    keep.append(blk)
-                else:
-                    hit[0] |= blk[0]
-                    hit[1].extend(blk[1])
-                    hit[2].extend(blk[2])
-            if hit is None:
-                keep.append([qvs, [], [q]])
-            else:
-                hit[0] |= qvs
-                hit[2].append(q)
-            blocks = keep
-        if len(blocks) == 1:
+            vmask |= vs[q]
+        through = []
+        core_u = []
+        for p in rest_u:
+            (core_u if vs[p] & vmask else through).append(p)
+        core_v = []
+        for q in rest_v:
+            (core_v if vs[q] & umask else through).append(q)
+        if not through:
             return None
-        return self._conjoin_blocks(iter(blocks), [], i)
-
-    def _conjoin_blocks(self, blocks, results, i):
-        # conjoin the remaining blocks in turn: the triple for the next one
-        # that needs a conjoin, whose then() comes back here
-        for _, a, b in blocks:
-            if not b:
-                results.extend(a)
-            elif not a:
-                results.extend(b)
-            else:
-                def then(sub):
-                    if sub == FALSE:
-                        return FALSE
-                    results.append(sub)
-                    return self._conjoin_blocks(blocks, results, i)
-
-                return (a[0] if len(a) == 1 else self.make_conj(a),
-                        b[0] if len(b) == 1 else self.make_conj(b), then)
-        return self._conj_parts(results, i)
+        if not core_u:
+            return self._conj_parts(through, i)
+        return self.make_conj(core_u), self.make_conj(core_v), tuple(through)
 
     def _disjoin_split(self, u, v, i):
         # (C and A) or (C and B)  =  C and (A or B), where C shares no
@@ -859,7 +824,7 @@ class DiagramStore:
         a = self.make_conj([p for p in pu if p not in shared])
         b = self.make_conj([p for p in pv if p not in shared])
         c = self.make_conj(shared)
-        return a, b, lambda d: self._conj_parts([c, d], i)
+        return a, b, (c,)
 
     def negate(self, u, i):
         memo = self._memo_not.setdefault(i, {FALSE: TRUE, TRUE: FALSE})

@@ -78,7 +78,7 @@ def corpus():
 def test_criterion_1_canonicity(corpus):
     t0 = time.perf_counter()
     mismatches = 0
-    schedules = ("balanced", "sequential", "ordered")
+    schedules = ("balanced", "bucket", "ordered")
     for k, (cnf, store, roots) in enumerate(corpus):
         perms = []
         for p in range(3):

@@ -9,7 +9,7 @@ from kcdag.cli import run
 from kcdag.cnf import format_dimacs, parse_dimacs
 from kcdag.compiler import SCHEDULES, compile_cnf
 from kcdag.diagram_io import deserialize, serialize
-from kcdag.engine import DiagramStore
+from kcdag.engine import KIND_TRUE, DiagramStore
 from kcdag.families import chain_family, random_cnf
 from kcdag.ops import model_count
 from kcdag.ordering import natural_order
@@ -186,7 +186,7 @@ def test_validate_command(capsys, cnf_file, tmp_path):
     assert report["finest"] is True
     assert report["skipped"] == 0
     store, root, _ = deserialize(open(out).read())
-    inner = [u for u in store.topological(root) if not store.is_leaf(u)]
+    inner = [u for u in store.topological(root) if store.kind(u) > KIND_TRUE]
     assert report["exact_checked"] == len(inner) > 0
 
     # a bound-2 diagram with a 2-child conjunction is not canonical at 1

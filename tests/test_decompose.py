@@ -143,7 +143,7 @@ def test_decompose_interns_only_its_result():
     conj = {fresh.children(v): v for v in range(fresh.num_vertices)
             if fresh.is_conj(v)}
     for r in pending:
-        assert list(r) == sorted(r, key=fresh.min_rank)
+        assert list(r) == sorted(r, key=fresh._minrank.__getitem__)
         assert fresh.children(conj[r]) is r
     before = fresh.num_vertices
     fresh.clear_memo()

@@ -99,6 +99,40 @@ def test_conjoin_equals_compiling_the_union():
                     assert conjoin(store, u, lit, bound) == want
 
 
+def test_split_passes_factors_through(vt8):
+    # u's factors x1|x2 and x4|x5 both overlap v, x7|x8 meets no factor of
+    # v; at bounds 2 and up every clause here is a factor of its own
+    A, B, C = [1, 2], [4, 5], [7, 8]
+    D, E = [-2, 3], [-5, 6]
+
+    def cnf(*clauses):
+        out = CNF(8)
+        for cl in clauses:
+            out.add_clause(cl)
+        return out
+
+    for bound in (2, 3, INF):
+        store = DiagramStore(natural_order(8))
+
+        def comp(*clauses):
+            return compile_cnf(cnf(*clauses), bound, store=store)[1]
+
+        def check(r, *clauses):
+            assert diagram_table(store, r, SCOPE) == \
+                cnf_table(cnf(*clauses), SCOPE, vt8)
+            assert r == comp(*clauses)
+
+        u = comp(A, B, C)
+        for v in (comp(D, E), comp(D, E, C)):  # the second shares x7|x8
+            check(conjoin(store, u, v, bound), A, B, C, D, E)
+            check(conjoin(store, v, u, bound), A, B, C, D, E)
+        # every factor passes through: no core pair is left
+        ab, ac = comp(A, B), comp(A, C)
+        check(conjoin(store, ab, ac, bound), A, B, C)
+        # the shared factor comes out of the disjunction
+        check(disjoin(store, ab, ac, bound), A, B + C)
+
+
 def test_condition_matches_projection(vt8):
     for seed in range(10):
         store, u, _, tu, _, bound = _compiled_pair(seed, vt8)

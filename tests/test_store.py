@@ -28,7 +28,6 @@ def test_leaves_are_preinterned(store):
     assert FALSE == 0 and TRUE == 1
     assert store.kind(FALSE) == KIND_FALSE
     assert store.kind(TRUE) == KIND_TRUE
-    assert store.is_leaf(TRUE) and store.is_leaf(FALSE)
     assert store.vars_of(TRUE) == frozenset()
 
 
@@ -72,7 +71,7 @@ def test_conj_construction_and_consing(store):
     assert store.children(u) == (a, b)
     assert store.vars_of(u) == frozenset({1, 2})
     assert store.make_conj([b, a]) == u  # children order is canonical
-    assert store.min_rank(u) == 0
+    assert store._minrank[u] == 0
 
 
 def test_conj_collapses_constants(store):
@@ -128,8 +127,8 @@ def test_counts_on_a_known_diagram(store):
 
 
 def test_min_rank_tracks_topmost_variable(store):
-    assert store.min_rank(store.literal(3)) == 2
-    assert store.min_rank(TRUE) == 6  # leaf sentinel sits past the last rank
+    assert store._minrank[store.literal(3)] == 2
+    assert store._minrank[TRUE] == 6  # leaf sentinel sits past the last rank
 
 
 def test_clear_memo_keeps_vertices(store):
