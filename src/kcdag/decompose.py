@@ -16,8 +16,8 @@ def decompose(store: DiagramStore, u: int, bound: Bound) -> int:
     u may be any ordered raw diagram (make_decision/make_conj enforce the
     order); conjunction children that exceed the bound are merged.  A
     conjunction vertex is interned only when it is kept: as the result, or
-    as a branch of a decision vertex the walk builds.  The pending ones that
-    are not interned are dropped when the call returns.
+    as a branch of a decision vertex the walk builds.  The walk keeps
+    nothing after it returns, so a repeated call walks u again.
     """
     return store.decompose(u, parse_bound(bound))
 

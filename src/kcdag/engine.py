@@ -29,15 +29,12 @@ pending and returns a conjunction result as pending, and the apply, negate
 and _merge_bigs leave it clear.
 
 The computed tables hold results, so that a repeated call returns at once.
-A walk's own scaffolding lives for the call: convert_down's merge keys, tuples
-of source-bound factors, and decompose's pending conjunctions that were not
-interned are gone when it returns.
+A walk's own table and keys live for the call: decompose's walk and
+convert_down's merge keep nothing in the store but the vertices they kept.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
 """
-
-from itertools import islice
 
 from .errors import (
     DecompositionError,
@@ -56,15 +53,12 @@ KIND_CONJ = 3
 
 # the computed tables, one per memoised operation and keyed by that
 # operation's own arguments; a walk's table holds one dict per bound, keyed by
-# the walk's key.  They hold results only; a walk's own keys and partial
-# results live for the call.  clear_memo empties them all at any time: nothing
-# else refers to their entries, and every result is refilled on demand.
+# the walk's key.  They hold results only; decompose and _cofactor_top keep
+# no table.  clear_memo empties them all at any time: nothing else refers to
+# their entries, and every result is refilled on demand.
 _MEMO_TABLES = (
     "_memo_merge",      # _merge_bigs: i -> {factors: their AND}; of a
                         # convert_down, only its root key
-    "_memo_decompose",  # decompose: i -> {u: result, a vertex or an
-                        # interned conjunction's children}
-    "_memo_cofactor",   # _cofactor_top: (u, i)
     "_memo_restrict",   # _restrict1: (x, b, i) -> {u: result}
     "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
     "_memo_or",         # disjoin: i -> {(u, v): result}, u < v
@@ -532,33 +526,15 @@ class DiagramStore:
         """Canonical form at bound i of any ordered raw diagram.
 
         The walk interns only what is kept: a conjunction stays pending
-        until it is the result or a branch of a decision vertex built.
-        Pending conjunctions live for the call: afterwards the table keeps
-        a conjunction result only when it was interned.
+        until it is the result or a branch of a decision vertex built.  Its
+        table lives for the call, so the store keeps nothing else.
         """
-        memo = self._memo_decompose.setdefault(i, {FALSE: FALSE, TRUE: TRUE})
-        done = len(memo)
-        # every child is rebuilt; memo.get spares a frame for one already done.
-        # The memo keeps even the root's conjunction pending, so _decision
-        # never meets one conjunction as a vertex and as pending.
-        r = self._kept(
+        # every child is rebuilt, so every conjunction in the walk is
+        # pending and _decision never meets one as a vertex and as pending;
+        # memo.get spares a frame for a child already done
+        memo = {FALSE: FALSE, TRUE: TRUE}
+        return self._kept(
             _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True)))
-        # of the entries this call added, the last in the table, an interned
-        # conjunction is kept as its vertex's own children tuple, which is
-        # still pending and adds no tuple; the other pending ones go
-        uconj = self._uconj
-        kids = self._kids
-        drop = []
-        for v, p in islice(reversed(memo.items()), len(memo) - done):
-            if p.__class__ is tuple:
-                w = uconj.get(p)
-                if w is None:
-                    drop.append(v)
-                else:
-                    memo[v] = kids[w]
-        for v in drop:
-            del memo[v]
-        return r
 
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.
@@ -591,21 +567,9 @@ class DiagramStore:
         """Both cofactors of u on its earliest variable."""
         if self._kind[u] == KIND_DECISION:
             return self._lo[u], self._hi[u]
-        key = (u, i)
-        memo = self._memo_cofactor
-        r = memo.get(key)
-        if r is not None:
-            return r
-        kids = self._kids[u]
-        c = kids[0]
-        rest = kids[1:]
-        lo_parts = [self._lo[c]]
-        lo_parts.extend(rest)
-        hi_parts = [self._hi[c]]
-        hi_parts.extend(rest)
-        r = (self._conj_parts(lo_parts, i), self._conj_parts(hi_parts, i))
-        memo[key] = r
-        return r
+        c, *rest = self._kids[u]
+        return (self._conj_parts([self._lo[c], *rest], i),
+                self._conj_parts([self._hi[c], *rest], i))
 
     def _restrict1(self, u, x, b, i):
         """u with variable x fixed to b.
@@ -789,12 +753,9 @@ class DiagramStore:
                 sides.append(side)
             return (self._conj_parts(sides[0], i),
                     self._conj_parts(sides[1], i), list(lits.values()))
-        if not rest_v:
-            # every factor of v is also a factor of u
-            return u
-        # a factor that meets no factor of the other side passes through;
-        # the rest form one core pair, left to Shannon expansion when
-        # nothing passes through
+        # a factor that meets no factor of the other side passes through,
+        # all of u when every factor of v is one of u's; the rest form one
+        # core pair, left to Shannon expansion when nothing passes through
         umask = vmask = 0
         for p in rest_u:
             umask |= vs[p]
@@ -823,8 +784,7 @@ class DiagramStore:
             return None
         a = self.make_conj([p for p in pu if p not in shared])
         b = self.make_conj([p for p in pv if p not in shared])
-        c = self.make_conj(shared)
-        return a, b, (c,)
+        return a, b, tuple(shared)
 
     def negate(self, u, i):
         memo = self._memo_not.setdefault(i, {FALSE: TRUE, TRUE: FALSE})

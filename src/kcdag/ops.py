@@ -115,9 +115,18 @@ def implied_by_term(store: DiagramStore, u: int,
 
 
 def equivalent(store: DiagramStore, u: int, v: int) -> bool:
-    """Semantic equivalence; canonical same-bound vertices simply compare ids."""
+    """Semantic equivalence of any two ordered diagrams in one store.
+
+    Equal ids are equivalent.  Two diagrams whose model counts over the
+    store's variables differ are not; the count is exact for raw diagrams
+    too, and memoised.  Only a pair with equal counts is decomposed to
+    bound inf, where equivalent diagrams are one vertex.
+    """
     if u == v:
         return True
+    scope = store.order.vars
+    if model_count(store, u, scope) != model_count(store, v, scope):
+        return False
     return store.decompose(u, INF) == store.decompose(v, INF)
 
 
@@ -125,9 +134,9 @@ def entails(store: DiagramStore, u: int, v: int, bound: Bound) -> bool:
     """Sentential entailment u |= v, decided as u AND v equivalent to u.
 
     One conjoin and no negation: the negation of a conjunction has no
-    compact form at any bound >= 1.  equivalent compares ids first and
-    decomposes both only when they differ, so u need not be canonical at
-    `bound`.
+    compact form at any bound >= 1.  equivalent compares ids and model
+    counts first and decomposes both only when neither settles it, so u
+    need not be canonical at `bound`.
     """
     i = parse_bound(bound)
     return equivalent(store, store.conjoin(u, v, i), u)

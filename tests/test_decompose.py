@@ -134,17 +134,6 @@ def test_decompose_interns_only_its_result():
         before = fresh.num_vertices
         got[bound] = decompose(fresh, q0, bound)
         assert fresh.num_vertices - before <= fresh.vertex_count(got[bound])
-    # a pending conjunction lists its factors in the order of a conjunction
-    # vertex's children, so two forms of one conjunction compare equal; the
-    # table keeps one only as the children tuple of an interned conjunction
-    pending = [r for memo in fresh._memo_decompose.values()
-               for r in memo.values() if r.__class__ is tuple]
-    assert pending
-    conj = {fresh.children(v): v for v in range(fresh.num_vertices)
-            if fresh.is_conj(v)}
-    for r in pending:
-        assert list(r) == sorted(r, key=fresh._minrank.__getitem__)
-        assert fresh.children(conj[r]) is r
     before = fresh.num_vertices
     fresh.clear_memo()
     for bound in want:

@@ -131,6 +131,9 @@ def test_split_passes_factors_through(vt8):
         check(conjoin(store, ab, ac, bound), A, B, C)
         # the shared factor comes out of the disjunction
         check(disjoin(store, ab, ac, bound), A, B + C)
+        # every factor of ab is one of u's, so all of u passes through
+        assert conjoin(store, u, ab, bound) == u
+        assert conjoin(store, ab, u, bound) == u
 
 
 def test_condition_matches_projection(vt8):
@@ -240,13 +243,39 @@ def test_equivalence_and_entailment(vt8):
     cnf = random_cnf(8, 14, seed=9)
     store = DiagramStore(natural_order(8))
     u0 = compile_cnf(cnf, 0, store=store)[1]
+    # a diagram and its negation differ in model count, so nothing is
+    # decomposed and nothing is interned
+    nu0 = negate(store, u0, 0)
+    before = store.num_vertices
+    assert not equivalent(store, u0, nu0)
+    assert store.num_vertices == before
+    # equal counts leave the answer to the canonical forms
+    x1, x2 = store.literal(1), store.literal(2)
+    assert model_count(store, x1, SCOPE) == model_count(store, x2, SCOPE)
+    assert not equivalent(store, x1, x2)
     u3 = compile_cnf(cnf, 3, store=store)[1]
     assert equivalent(store, u0, u3)
-    assert not equivalent(store, u0, negate(store, u0, 0))
     assert entails(store, u0, u3, 3)
     assert entails(store, conjoin(store, u0, store.literal(5), 0), u0, 0)
     assert entails(store, u0, disjoin(store, u3, store.literal(5), 3), 3)
     assert not entails(store, TRUE, u0, 0) or u0 == TRUE
+
+
+def test_equivalence_with_an_inessential_variable():
+    # both branches of the raw decision on x1 are x2 AND x3, so x1 is
+    # inessential; counting over the store's variables still matches the
+    # compiled x2 AND x3
+    store = DiagramStore(natural_order(3))
+    a, b = store.literal(2), store.literal(3)
+    raw = store.make_decision(1, store.make_conj([a, b]),
+                              store.make_decision(2, FALSE, b))
+    both = CNF(3)
+    both.add_clause([2])
+    both.add_clause([3])
+    for bound in (0, 1, INF):
+        w = compile_cnf(both, bound, store=store)[1]
+        assert equivalent(store, raw, w)
+        assert equivalent(store, w, raw)
 
 
 def test_entailment_interns_no_negation():
