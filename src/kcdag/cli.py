@@ -75,9 +75,12 @@ def _parse_assignment(text: str) -> dict[int, bool]:
         else:
             raise InputError(f"expected true or false, got {val!r}")
         try:
-            out[int(name.strip())] = b
+            x = int(name.strip())
         except ValueError:
             raise InputError(f"bad variable {name!r}")
+        # the same value twice is harmless; two different ones conflict
+        if out.setdefault(x, b) != b:
+            raise InputError(f"variable {x} is set to both true and false")
     if not out:
         raise InputError("empty assignment")
     return out

@@ -20,17 +20,18 @@ vertices without canonicalizing; the canonicalizing constructors are the
 internal _decision / _conj_parts, which is what decompose, convert_down and
 the apply-style operations are built from.
 
-A conjunction vertex is interned only when it is kept.  decompose's rebuild
-walk carries a conjunction as pending, the tuple of its canonical factors in
-the order of a conjunction vertex's children, and interns it only as the
-walk's result or as a branch of a decision vertex that it builds.  The
-decision rules live in _decision alone: its pending flag lets a branch be
-pending and returns a conjunction result as pending, and the apply, negate
-and _merge_bigs leave it clear.
+A conjunction vertex is interned only when it is kept.  The rebuild walks of
+decompose, condition and forget and the Shannon walk of negate carry a
+conjunction as pending, the tuple of its canonical factors in the order of a
+conjunction vertex's children, and intern it only as the walk's result or as
+a branch of a decision vertex that they build.  The decision rules live in
+_decision alone: its pending flag lets a branch be pending and returns a
+conjunction result as pending, and the apply and _merge_bigs leave it clear.
 
 The computed tables hold results, so that a repeated call returns at once.
-A walk's own table and keys live for the call: decompose's walk and
-convert_down's merge keep nothing in the store but the vertices they kept.
+A walk's own table and keys live for the call: the walks above and
+convert_down's merge add no entry to the store's tables, but for the
+disjunctions that forget calls.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
@@ -53,16 +54,17 @@ KIND_CONJ = 3
 
 # the computed tables, one per memoised operation and keyed by that
 # operation's own arguments; a walk's table holds one dict per bound, keyed by
-# the walk's key.  They hold results only; decompose and _cofactor_top keep
-# no table.  clear_memo empties them all at any time: nothing else refers to
-# their entries, and every result is refilled on demand.
+# the walk's key.  They hold results only; decompose, negate, condition,
+# forget and _cofactor_top keep no table.  clear_memo empties them all at any
+# time: nothing else refers to their entries, and every result is refilled on
+# demand.
 _MEMO_TABLES = (
     "_memo_merge",      # _merge_bigs: i -> {factors: their AND}; of a
                         # convert_down, only its root key
-    "_memo_restrict",   # _restrict1: (x, b, i) -> {u: result}
+    "_memo_restrict",   # _restrict1, the conjoin's literal peel only:
+                        # (x, b, i) -> {u: result}
     "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
     "_memo_or",         # disjoin: i -> {(u, v): result}, u < v
-    "_memo_not",        # negate: i -> {u: result}
     "_memo_count",      # model_count: u
 )
 
@@ -345,9 +347,12 @@ class DiagramStore:
             if rest == TRUE:
                 return lead
             rest = rest if rest.__class__ is tuple else self._parts(rest)
-        elif (not pending and self._kind[lo] != KIND_CONJ
+        elif ((not pending or (lo.__class__ is not tuple
+                                and hi.__class__ is not tuple))
+                and self._kind[lo] != KIND_CONJ
                 and self._kind[hi] != KIND_CONJ):
-            # two distinct single factors share none
+            # two distinct single factors share none; only pending mode
+            # has tuples
             return self.make_decision(var, lo, hi)
         else:
             # factors common to both branches come out of the decision, a
@@ -572,7 +577,7 @@ class DiagramStore:
                 self._conj_parts([self._hi[c], *rest], i))
 
     def _restrict1(self, u, x, b, i):
-        """u with variable x fixed to b.
+        """u with variable x fixed to b, for the conjoin's literal peel.
 
         x must be in the store's order (its rank picks the mask bit); it
         need not occur in u.
@@ -787,30 +792,143 @@ class DiagramStore:
         return a, b, tuple(shared)
 
     def negate(self, u, i):
-        memo = self._memo_not.setdefault(i, {FALSE: TRUE, TRUE: FALSE})
+        """Canonical negation of u, on a table of the call's own.
 
-        def step(u):
-            # negation does not distribute over a conjunction's factors, so
-            # every vertex branches on its earliest variable
-            u0, u1 = self._cofactor_top(u, i)
-            yield u0
-            yield u1
-            memo[u] = self._decision(self.order.vars[self._minrank[u]],
-                                     memo[u0], memo[u1], i)
+        Negation does not distribute over a conjunction's factors, so every
+        key branches on its earliest variable.  A key is a vertex or a
+        pending conjunction, a conjunction always as its children tuple, so
+        one function is one key; only the result is interned.
+        """
+        var = self._var
+        lo = self._lo
+        hi = self._hi
+        kids = self._kids
+        vs = self._vs
+        by_rank = self._minrank.__getitem__
+        parts = self._conj_parts
+        memo = {FALSE: TRUE, TRUE: FALSE}
 
-        return _walk(u, memo, step)
+        def cofactor(half, rest):
+            # half AND rest, the other factors of a canonical conjunction:
+            # both sides are flat and hold at most one oversized factor each,
+            # so only two of those need _conj_parts's merge
+            if half == FALSE:
+                return FALSE
+            if half == TRUE:
+                return rest[0] if len(rest) == 1 else rest
+            hp = kids[half] or (half,)
+            if (i != INF and any(vs[p].bit_count() > i for p in hp)
+                    and any(vs[q].bit_count() > i for q in rest)):
+                return parts([half, *rest], i, True)
+            return tuple(sorted(hp + rest, key=by_rank))
 
-    def condition(self, u, assignment, i):
-        """Canonical form of u under a partial assignment (var -> bool)."""
+        def frame(u):
+            # the key with its variable and both cofactors on it
+            if u.__class__ is tuple:
+                c = u[0]
+                rest = u[1:]
+                return (u, var[c], cofactor(lo[c], rest),
+                        cofactor(hi[c], rest))
+            return u, var[u], kids[lo[u]] or lo[u], kids[hi[u]] or hi[u]
+
+        # every key has two cofactors, so a tuple frame on an explicit stack
+        # does the work of a _walk step without its generator
+        root = kids[u] or u
+        stack = [] if root in memo else [frame(root)]
+        while stack:
+            u, x, u0, u1 = stack[-1]
+            if u0 not in memo:
+                stack.append(frame(u0))
+            elif u1 not in memo:
+                stack.append(frame(u1))
+            else:
+                stack.pop()
+                memo[u] = self._decision(x, memo[u0], memo[u1], i, True)
+        return self._kept(memo[root])
+
+    def _mask(self, variables):
+        # the rank mask of variables, each of which must be in the order
         rank = self.rank
-        for x in assignment:
-            if x not in rank:
+        mask = 0
+        for x in variables:
+            r = rank.get(x)
+            if r is None:
                 raise OrderViolationError(
                     f"variable {x} is not in this store's order")
-        # deepest variable first, so each restriction works below the next
-        for x in sorted(assignment, key=rank.__getitem__, reverse=True):
-            u = self._restrict1(u, x, bool(assignment[x]), i)
-        return u
+            mask |= 1 << r
+        return mask
+
+    def _sweep(self, u, mask, i, branches, join):
+        """u rebuilt where it meets mask, a rank mask, in one walk on a table
+        of the call's own; only the result is interned.
+
+        A decision vertex on a variable in mask becomes join of the results
+        of branches(u), the branches it needs.  Every other vertex that
+        meets mask is rebuilt with conjunctions pending, and a child that
+        misses it stays as it is.  Such a conjunction child enters as its
+        children tuple, so that _decision never sees one function both as a
+        vertex and as pending.
+        """
+        vs = self._vs
+        if not vs[u] & mask:
+            return u
+        kind = self._kind
+        kids = self._kids
+        minrank = self._minrank
+        memo = {}
+
+        def keep(c):
+            if vs[c] & mask:
+                return memo.get(c)
+            return kids[c] or c
+
+        def settle(u):
+            results = []
+            for c in branches(u):
+                k = keep(c)
+                if k is None:
+                    yield c
+                    k = memo[c]
+                results.append(k)
+            memo[u] = join(*results)
+
+        def step(u):
+            if kind[u] == KIND_DECISION and mask >> minrank[u] & 1:
+                return settle(u)
+            return self._rebuild(u, i, memo, keep, True)
+
+        return self._kept(_walk(u, memo, step))
+
+    def condition(self, u, assignment, i):
+        """Canonical form of u under a partial assignment (var -> bool), in
+        one walk: a decision vertex on an assigned variable becomes its
+        chosen branch's result (Bryant's restriction)."""
+        mask = self._mask(assignment)
+        true = self._mask([x for x, b in assignment.items() if b])
+        lo = self._lo
+        hi = self._hi
+        minrank = self._minrank
+        return self._sweep(
+            u, mask, i,
+            lambda u: ((hi if true >> minrank[u] & 1 else lo)[u],),
+            lambda r: r)
+
+    def forget(self, u, variables, i):
+        """u with the given variables existentially quantified, in one walk:
+        a decision vertex on one of them becomes the disjunction of its
+        branches' results, and a factor without one passes through."""
+        kids = self._kids
+        lo = self._lo
+        hi = self._hi
+
+        def either(r0, r1):
+            # disjoin takes vertices; its conjunction result goes back to
+            # the walk as pending
+            r = self.disjoin(self._kept(r0), self._kept(r1), i)
+            return kids[r] or r
+
+        return self._sweep(u, self._mask(variables), i,
+                           lambda u: (lo[u], hi[u]), either)
 
     # ------------------------------------------------------------------
     # counting and linear queries

@@ -68,19 +68,16 @@ def condition(store: DiagramStore, u: int, assignment: Mapping[int, bool],
 
 def forget(store: DiagramStore, u: int, variables: Iterable[int],
            bound: Bound) -> int:
-    """Existentially quantify the given variables out of u."""
-    i = parse_bound(bound)
-    vs = list(dict.fromkeys(variables))
+    """Existentially quantify the given variables out of u.
+
+    One walk over u: a decision vertex on a forgotten variable becomes the
+    disjunction of its branches' results, and a factor without one passes
+    through as it is.  Only the result and the disjunctions' vertices are
+    interned.
+    """
+    vs = list(variables)
     _check_vars(store, vs)
-    # deepest variable first keeps the intermediate diagrams local
-    vs.sort(key=store.rank.__getitem__, reverse=True)
-    for x in vs:
-        u = store.disjoin(
-            store.condition(u, {x: False}, i),
-            store.condition(u, {x: True}, i),
-            i,
-        )
-    return u
+    return store.forget(u, vs, parse_bound(bound))
 
 
 def is_consistent(store: DiagramStore, u: int) -> bool:

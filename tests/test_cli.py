@@ -165,6 +165,13 @@ def test_condition_forget_decompose_convert(capsys, cnf_file, tmp_path):
     assert run(["condition", out, "--set", "1=true,2=false", "-o", cond]) == 0
     assert run(["query", "co", cond]) == 0
     capsys.readouterr()
+    # the same value twice is allowed; two different values are an error
+    assert run(["condition", out, "--set", "1=true,2=false,1=t", "-o", cond]) == 0
+    assert run(["condition", out, "--set", "1=true,1=false", "-o", cond]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: variable 1 is set to both true and false"]
 
     gone = str(tmp_path / "gone.kdag")
     assert run(["forget", out, "--vars", "1,2", "-o", gone]) == 0

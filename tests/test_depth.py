@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from kcdag import FALSE, TRUE
 from kcdag.compiler import clause_diagram, compile_cnf
 from kcdag.convert import convert_down
 from kcdag.decompose import decompose
@@ -96,8 +97,21 @@ def test_transformations(bound):
         fixed = condition(store, root, {1: True}, bound)
         assert truth(store, fixed)[:2] == [False, True]
         assert model_count(store, fixed) == 1
+        # three variables set true force all others true, one at a time or
+        # all at once; setting the ends apart leaves no model
+        ends = {1: True, N // 2: True, N: True}
+        cube = condition(store, root, ends, bound)
+        assert store.vars_of(cube) == frozenset(range(1, N + 1)) - set(ends)
+        assert model_count(store, cube) == 1
+        assert condition(store, condition(store, fixed, {N: True}, bound),
+                         {N // 2: True}, bound) == cube
+        assert condition(store, root, {1: True, N: False}, bound) == FALSE
+        assert condition(store, root, ALL_TRUE, bound) == TRUE
         gone = forget(store, root, [1], bound)
         assert truth(store, gone) == [True, True, False, True, False]
+        # the even variables stay all equal
+        evens = forget(store, root, range(1, N + 1, 2), bound)
+        assert model_count(store, evens) == 2
         both_ends = conjoin(store, root, clause_diagram(store, [1, N]), bound)
         assert truth(store, both_ends) == [False, True, False, False, False]
         either = disjoin(store, root, store.literal(1), bound)

@@ -171,6 +171,83 @@ def test_forget_matches_existential_projection(vt8):
         assert forget(store, u, [gone[0], gone[0], gone[1]], bound) == res
 
 
+def _old_condition(store, u, asg, bound):
+    # one variable at a time, deepest first, through the conjoin's peel
+    for x in sorted(asg, key=store.rank.__getitem__, reverse=True):
+        u = store._restrict1(u, x, asg[x], bound)
+    return u
+
+
+def _old_forget(store, u, gone, bound):
+    # deepest variable first, each the disjunction of its two conditions
+    for x in sorted(gone, key=store.rank.__getitem__, reverse=True):
+        u = disjoin(store, _old_condition(store, u, {x: False}, bound),
+                    _old_condition(store, u, {x: True}, bound), bound)
+    return u
+
+
+def _old_negate(store, u, bound, memo=None):
+    # the Shannon walk that interns every cofactor it visits
+    memo = {FALSE: TRUE, TRUE: FALSE} if memo is None else memo
+    if u not in memo:
+        u0, u1 = store._cofactor_top(u, bound)
+        memo[u] = store._decision(store.order.vars[store._minrank[u]],
+                                  _old_negate(store, u0, bound, memo),
+                                  _old_negate(store, u1, bound, memo), bound)
+    return memo[u]
+
+
+def _one_walk_cases():
+    # per pinned formula and bound: the diagram, an assignment to 3 of its
+    # variables and 3 variables to forget
+    for seed in range(4):
+        cnf = random_cnf(12, 30, seed=seed)
+        rng = random.Random(seed)
+        asg = {x: rng.random() < 0.5 for x in rng.sample(range(1, 13), 3)}
+        gone = rng.sample(range(1, 13), 3)
+        for bound in BOUNDS:
+            yield cnf, bound, asg, gone
+
+
+def test_one_walk_transformations_match_their_old_routes():
+    for cnf, bound, asg, gone in _one_walk_cases():
+        store = DiagramStore(natural_order(12))
+        u = compile_cnf(cnf, bound, store=store)[1]
+        cond = condition(store, u, asg, bound)
+        gone_u = forget(store, u, gone, bound)
+        neg = negate(store, u, bound)
+        assert cond == _old_condition(store, u, asg, bound)
+        assert gone_u == _old_forget(store, u, gone, bound)
+        store.clear_memo()
+        assert negate(store, u, bound) == neg
+        assert neg == _old_negate(store, u, bound)
+
+
+def test_one_walk_transformations_intern_less():
+    # random_cnf(12, 30, seed=0) at bound 1: the one walk against the old
+    # route, each in a fresh store
+    cnf, bound, asg, gone = next(
+        case for case in _one_walk_cases() if case[1] == 1)
+
+    def interned(op):
+        store = DiagramStore(natural_order(12))
+        u = compile_cnf(cnf, bound, store=store)[1]
+        before = store.num_vertices
+        op(store, u)
+        return store.num_vertices - before
+
+    pairs = [
+        (lambda s, u: condition(s, u, asg, bound),
+         lambda s, u: _old_condition(s, u, asg, bound)),
+        (lambda s, u: forget(s, u, gone, bound),
+         lambda s, u: _old_forget(s, u, gone, bound)),
+        (lambda s, u: negate(s, u, bound),
+         lambda s, u: _old_negate(s, u, bound)),
+    ]
+    for new, old in pairs:
+        assert interned(new) < interned(old)
+
+
 def test_model_count_and_scope(vt8):
     for seed in range(10):
         store, u, _, tu, _, _ = _compiled_pair(seed, vt8)
