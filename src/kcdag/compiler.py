@@ -47,16 +47,14 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     Returns (store, root).  With no explicit order, min-fill over the
     formula's primal graph is used.  `schedule` (one of SCHEDULES) picks how
     the per-clause diagrams are conjoined; every schedule gives the same
-    vertex.  "bucket" (the default) reads the store's order as an
-    elimination sequence, rank 0 first: each clause goes to the bucket of
-    its earliest variable, and what a bucket holds moves on to the bucket
-    of its next variable; the roots of that elimination forest, which
-    share no variable, are conjoined last.  Each of those lists is
-    conjoined pair by pair, smallest union of variables first.
-    "balanced" conjoins all clauses in pairwise rounds, and "ordered" is a
-    left fold with clauses sorted by the rank of their earliest variable,
-    so the top of the order gets constrained first.  Tautological and
-    repeated clauses are dropped.
+    vertex.  "bucket" (the default) sorts the clauses by the rank of their
+    earliest variable, which lays the buckets of the order end to end, and
+    conjoins that list pair by pair, smallest union of variables first; its
+    result and the vertices it interns do not depend on clause order.
+    "balanced" conjoins the clauses as given in pairwise rounds, and
+    "ordered" is a left fold over the same sorted list, so the top of the
+    order gets constrained first.  Tautological and repeated clauses are
+    dropped.
     """
     i = parse_bound(bound)
     if store is None:
@@ -80,7 +78,7 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
             continue
         seen.add(cl.literals)
         clauses.append(cl)
-    if schedule == "ordered":
+    if schedule != "balanced":
         # deterministic: top-variable rank first, literal tuple as tiebreak
         clauses.sort(key=lambda cl: (min(store.rank[l.var] for l in cl),
                                      sorted((l.var, l.positive) for l in cl)))
@@ -89,7 +87,7 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     if not diagrams:
         return store, TRUE
     if schedule == "bucket":
-        return store, _bucket(store, clauses, diagrams, i)
+        return store, _by_union(store, diagrams, i)
     if schedule == "balanced":
         return store, _pairwise(store, diagrams, i)
     root = diagrams[0]
@@ -118,6 +116,11 @@ def _pairwise(store: DiagramStore, diagrams: list[int], i: int) -> int:
 def _by_union(store: DiagramStore, diagrams: list[int], i: int) -> int:
     """Conjoin a list, always the adjacent pair whose union of variables is
     smallest, the earlier pair on ties; FALSE as soon as one is.
+
+    Only neighbours are paired: in a rank-sorted clause list they share
+    their earliest variables, and on equal supports, as on a chain, the
+    rule falls back to balanced rounds, where a fold would take quadratic
+    time.
 
     The list is linked through nxt (n is its end) and the heap holds one
     entry (union size, left, right) per adjacent pair.  An entry whose
@@ -150,65 +153,6 @@ def _by_union(store: DiagramStore, diagrams: list[int], i: int) -> int:
         if p >= 0:
             heappush(heap, ((vs[ds[p]] | vs[d]).bit_count(), p, a))
     return ds[0]
-
-
-def _bucket(store: DiagramStore, clauses: list[Clause], diagrams: list[int],
-            i: int) -> int:
-    """Conjoin clause diagrams along the store's order, bucket by bucket.
-
-    Bucket r holds the clauses whose earliest variable has rank r, and
-    scope[r] is the OR of their rank masks (bit r for the variable of rank
-    r) and of the scopes sent to it.  What a bucket sends on, to the
-    bucket of the next rank in its scope, is a run: diagrams still to be
-    conjoined.  A bucket that receives one run appends the conjunction of
-    its own clauses to it; one that receives several first conjoins each
-    run and starts a new run of those results.  A run with no later rank
-    is a root of the elimination forest, and the roots are conjoined last.
-
-    Every such list is conjoined by _by_union: the adjacent pair with the
-    smallest union of variables goes first, which keeps the intermediate
-    diagrams small.  Only neighbours are paired because neighbours in a
-    run come from neighbouring buckets, and because on equal supports, as
-    on a chain, the rule then falls back to balanced rounds along the
-    path: folding a path one bucket at a time takes quadratic time.
-    """
-    rank = store.rank
-    own: list[list[int]] = [[] for _ in store.order.vars]
-    scope = [0] * len(own)
-    for cl, d in zip(clauses, diagrams):
-        mask = 0
-        for lit in cl:
-            mask |= 1 << rank[lit.var]
-        r = (mask & -mask).bit_length() - 1
-        own[r].append(d)
-        scope[r] |= mask
-    runs: list[list[list[int]]] = [[] for _ in own]
-    roots = []
-    for r, ds in enumerate(own):
-        if len(runs[r]) == 1:
-            run = runs[r][0]
-        else:
-            run = []
-            for w in runs[r]:
-                run.append(_by_union(store, w, i))
-                if run[-1] == FALSE:
-                    return FALSE
-        if ds:
-            run.append(_by_union(store, ds, i))
-            if run[-1] == FALSE:
-                return FALSE
-        if not run:
-            continue
-        later = scope[r] >> (r + 1) << (r + 1)
-        if later:
-            k = (later & -later).bit_length() - 1
-            runs[k].append(run)
-            scope[k] |= scope[r]
-        else:
-            roots.append(_by_union(store, run, i))
-            if roots[-1] == FALSE:
-                return FALSE
-    return _by_union(store, roots, i)
 
 
 def compile_via(cnf: CNF, bound: Bound, order: VariableOrder | None = None,

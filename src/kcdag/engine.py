@@ -299,7 +299,11 @@ class DiagramStore:
         return edges
 
     def evaluate(self, u, assignment):
-        """Truth value under a total assignment of vars_of(u)."""
+        """Truth value under a total assignment of vars_of(u).
+
+        Raises InputError naming a variable the walk needs and the
+        assignment misses.
+        """
         stack = [u]
         while stack:
             u = stack.pop()
@@ -308,7 +312,11 @@ class DiagramStore:
                 return False
             if k == KIND_DECISION:
                 x = self._var[u]
-                stack.append(self._hi[u] if assignment[x] else self._lo[u])
+                try:
+                    value = assignment[x]
+                except KeyError:
+                    raise InputError(f"assignment misses variable {x}") from None
+                stack.append(self._hi[u] if value else self._lo[u])
             elif k == KIND_CONJ:
                 stack.extend(self._kids[u])
         return True

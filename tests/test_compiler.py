@@ -91,8 +91,18 @@ def test_default_schedule_pairs_by_smallest_union():
     # on this formula balanced pairing interns 57,692 vertices at bound 0
     cnf = random_cnf(30, 90, seed=0)
     store, root = compile_cnf(cnf, 0)
-    assert store.num_vertices <= 40_000
+    assert store.num_vertices <= 16_000
     assert compile_cnf(cnf, 0, store=store, schedule="balanced")[1] == root
+    # the clauses are sorted before pairing, so clause order changes neither
+    # the root id nor what a fresh store interns
+    for seed in range(4):
+        cnf = random_cnf(20, 60, seed=seed)
+        shuffled = CNF(cnf.num_vars, list(cnf.clauses))
+        random.Random(seed).shuffle(shuffled.clauses)
+        for bound in (0, 1, INF):
+            store, root = compile_cnf(cnf, bound)
+            other, other_root = compile_cnf(shuffled, bound)
+            assert (other.num_vertices, other_root) == (store.num_vertices, root)
 
 
 def test_uniform_supports_keep_balanced_rounds():

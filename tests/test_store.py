@@ -13,7 +13,7 @@ from kcdag.engine import (
 )
 from kcdag.cnf import CNF
 from kcdag.compiler import compile_cnf
-from kcdag.errors import DecompositionError, OrderViolationError
+from kcdag.errors import DecompositionError, InputError, OrderViolationError
 from kcdag.families import random_cnf
 from kcdag.ordering import VariableOrder, natural_order
 from kcdag.store import INF
@@ -174,6 +174,10 @@ def test_evaluate_deep_chain():
     assert store.evaluate(u, every)
     for x in (1, 2, 2500, n - 1, n):
         assert not store.evaluate(u, {**every, x: False})
+    # a variable missing on the walked path is named, not a bare KeyError
+    store, r = compile_cnf(random_cnf(6, 8, seed=1), 1)
+    with pytest.raises(InputError, match="variable 3$"):
+        store.evaluate(r, {1: True})
 
 
 def test_condition_rejects_unknown_variable(store):
