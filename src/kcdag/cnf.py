@@ -9,7 +9,6 @@ against, so they must stay independent of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DimacsError, InputError, OracleLimitError
@@ -35,40 +34,68 @@ class Literal(NamedTuple):
         return Literal(self.var, not self.positive)
 
 
-@dataclass(frozen=True)
 class Clause:
-    literals: frozenset[Literal]
+    """A set of literals; read-only, compared and hashed by its literals."""
+
+    __slots__ = ("_literals",)
 
     def __init__(self, literals: Iterable[Literal]):
-        object.__setattr__(self, "literals", frozenset(literals))
+        self._literals = frozenset(literals)
+
+    @property
+    def literals(self) -> frozenset[Literal]:
+        return self._literals
+
+    def __eq__(self, other):
+        if other.__class__ is not Clause:
+            return NotImplemented
+        return self._literals == other._literals
+
+    def __hash__(self) -> int:
+        return hash((self._literals,))
+
+    def __repr__(self) -> str:
+        return f"Clause(literals={self._literals!r})"
 
     @property
     def variables(self) -> frozenset[int]:
-        return frozenset(lit.var for lit in self.literals)
+        return frozenset(lit.var for lit in self._literals)
 
     def is_tautological(self) -> bool:
-        return any(lit.negated() in self.literals for lit in self.literals)
+        return any(lit.negated() in self._literals for lit in self._literals)
 
     def is_empty(self) -> bool:
-        return not self.literals
+        return not self._literals
 
     def sorted_ints(self) -> list[int]:
         # by variable, positive phase first; stable output for printing
-        return sorted((lit.to_int() for lit in self.literals), key=lambda c: (abs(c), c < 0))
+        return sorted((lit.to_int() for lit in self._literals), key=lambda c: (abs(c), c < 0))
 
     def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
+        return iter(self._literals)
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return len(self._literals)
 
 
-@dataclass
 class CNF:
     """A CNF formula over variables 1..num_vars (gaps allowed in use)."""
 
-    num_vars: int
-    clauses: list[Clause] = field(default_factory=list)
+    __slots__ = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int, clauses: list[Clause] | None = None):
+        self.num_vars = num_vars
+        self.clauses = [] if clauses is None else clauses
+
+    def __eq__(self, other):
+        if other.__class__ is not CNF:
+            return NotImplemented
+        return (self.num_vars, self.clauses) == (other.num_vars, other.clauses)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"CNF(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
 
     @property
     def variables(self) -> frozenset[int]:

@@ -54,7 +54,9 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     "balanced" conjoins the clauses as given in pairwise rounds, and
     "ordered" is a left fold over the same sorted list, so the top of the
     order gets constrained first.  Tautological and repeated clauses are
-    dropped.
+    dropped.  The compile is one operation of the store: its conjoins share
+    their computed tables, and of the vertices it interns only the root's
+    stay.
     """
     i = parse_bound(bound)
     if store is None:
@@ -69,11 +71,16 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     if schedule not in SCHEDULES:
         raise InputError(f"unknown schedule {schedule!r}")
 
+    return store, store._run(_compile, store, cnf, i, schedule)
+
+
+def _compile(store: DiagramStore, cnf: CNF, i: Bound, schedule: str) -> int:
+    """The root of compile_cnf, built in one operation of the store."""
     seen: set[frozenset] = set()
     clauses = []
     for cl in cnf.clauses:
         if cl.is_empty():
-            return store, FALSE
+            return FALSE
         if cl.literals in seen or cl.is_tautological():
             continue
         seen.add(cl.literals)
@@ -85,17 +92,17 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     diagrams = [clause_diagram(store, cl) for cl in clauses]
 
     if not diagrams:
-        return store, TRUE
+        return TRUE
     if schedule == "bucket":
-        return store, _by_union(store, diagrams, i)
+        return _by_union(store, diagrams, i)
     if schedule == "balanced":
-        return store, _pairwise(store, diagrams, i)
+        return _pairwise(store, diagrams, i)
     root = diagrams[0]
     for d in diagrams[1:]:
         root = store.conjoin(root, d, i)
         if root == FALSE:
-            return store, FALSE
-    return store, root
+            return FALSE
+    return root
 
 
 def _pairwise(store: DiagramStore, diagrams: list[int], i: int) -> int:

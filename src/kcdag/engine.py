@@ -28,14 +28,18 @@ a branch of a decision vertex that they build.  The decision rules live in
 _decision alone: its pending flag lets a branch be pending and returns a
 conjunction result as pending, and the apply and _merge_bigs leave it clear.
 
-The computed tables hold results, so that a repeated call returns at once.
-A walk's own table and keys live for the call: the walks above and
-convert_down's merge add no entry to the store's tables, but for the
-disjunctions that forget calls.
+Every public transformation is one operation of its store (DiagramStore._run).
+Its computed tables, which hold results so that a repeated pair returns at
+once, live for that operation alone.  When it ends, every vertex it interned
+that its result does not reach is dropped, so an operation leaves only its
+result's vertices.  Ids are dense and a child's id is below its parent's, so
+dropping them takes the store's newest ids, and no older id changes.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
 """
+
+from functools import wraps
 
 from .errors import (
     DecompositionError,
@@ -52,21 +56,23 @@ KIND_TRUE = 1
 KIND_DECISION = 2
 KIND_CONJ = 3
 
-# the computed tables, one per memoised operation and keyed by that
-# operation's own arguments; a walk's table holds one dict per bound, keyed by
-# the walk's key.  They hold results only; decompose, negate, condition,
-# forget and _cofactor_top keep no table.  clear_memo empties them all at any
-# time: nothing else refers to their entries, and every result is refilled on
-# demand.
+# the computed tables that outlive an operation: clear_memo empties them at
+# any time, as nothing else refers to their entries and every result is
+# refilled on demand.  model_count runs between operations only, so no entry
+# names an id that an operation drops or reuses.  The tables of an
+# operation (see DiagramStore._run) are flat: it works at one bound.
 _MEMO_TABLES = (
-    "_memo_merge",      # _merge_bigs: i -> {factors: their AND}; of a
-                        # convert_down, only its root key
-    "_memo_restrict",   # _restrict1, the conjoin's literal peel only:
-                        # (x, b, i) -> {u: result}
-    "_memo_and",        # conjoin: i -> {(u, v): result}, u < v
-    "_memo_or",         # disjoin: i -> {(u, v): result}, u < v
-    "_memo_count",      # model_count: u
+    "_memo_count",      # model_count: u -> its model count
 )
+
+
+def _operation(method):
+    """The public transformation method, run as one operation of its store
+    (see DiagramStore._run)."""
+    @wraps(method)
+    def run(self, *args):
+        return self._run(method, self, *args)
+    return run
 
 
 def _walk(root, memo, step):
@@ -100,9 +106,12 @@ class DiagramStore:
     The store is its vertices and their index: one list per vertex field,
     indexed by vertex id; the unique tables _unique, (var, lo, hi) -> id,
     and _uconj, children -> id, which make every vertex unique; and rank.
-    Canonicity makes these the only index needed.  Everything else is a
-    computed table named in _MEMO_TABLES, which clear_memo may drop at any
-    time without changing any later result or vertex id.
+    Canonicity makes these the only index needed.  Each unique table lists
+    its keys in id order, as a vertex is interned after its children.
+    Everything else is a computed table: those named in _MEMO_TABLES, which
+    clear_memo may drop at any time without changing any later result or
+    vertex id, and an operation's own, which live for the operation.  Of
+    the vertices an operation interns, only those its result reaches stay.
     """
 
     def __init__(self, order):
@@ -119,6 +128,14 @@ class DiagramStore:
         self._minrank = [self._leaf_rank, self._leaf_rank]
         self._unique = {}
         self._uconj = {}
+        # vertices interned and then dropped by operations
+        self._dropped = 0
+        # an operation's computed tables, None between operations:
+        # conjoin and disjoin map (u, v), u < v, to their result; the merge
+        # maps a tuple of factors to their AND; the literal peel maps
+        # (x, b) to {u: u with x fixed to b}
+        self._memo_and = self._memo_or = None
+        self._memo_merge = self._memo_restrict = None
         self.clear_memo()
 
     # ------------------------------------------------------------------
@@ -250,8 +267,9 @@ class DiagramStore:
 
     @property
     def num_vertices(self):
-        """Total vertices ever interned in this store (including leaves)."""
-        return len(self._kind)
+        """Vertices ever interned in this store, leaves included; those an
+        operation dropped count too.  The store holds len(self._kind)."""
+        return len(self._kind) + self._dropped
 
     def _parts(self, u):
         if self._kind[u] == KIND_CONJ:
@@ -322,10 +340,94 @@ class DiagramStore:
         return True
 
     def clear_memo(self):
-        """Empty every computed table; vertices and their ids are kept."""
+        """Empty every computed table that outlives an operation; vertices
+        and their ids are kept.  An operation's own tables are gone when it
+        ends."""
         for name in _MEMO_TABLES:
             setattr(self, name, {})
         self._memo_count.update({FALSE: 0, TRUE: 1})
+
+    # ------------------------------------------------------------------
+    # operations: computed tables for one call, and only its result kept
+
+    def _run(self, build, *args):
+        """build(*args), a vertex, run as one operation of this store.
+
+        The operation's computed tables live for it alone.  When it ends,
+        or raises, the vertices it interned that its result does not reach
+        are dropped (see _settle), so ids below the store's size at its
+        start never change.  An operation run inside another is part of it.
+        """
+        if self._memo_and is not None:
+            return build(*args)
+        n0 = len(self._kind)
+        self._memo_and = {}
+        self._memo_or = {}
+        self._memo_merge = {}
+        self._memo_restrict = {}
+        try:
+            r = build(*args)
+        except BaseException:
+            self._settle(n0, None)
+            raise
+        return self._settle(n0, r)
+
+    def _settle(self, n0, r):
+        """End the operation begun at store size n0 with result r (None for
+        no result) and return r's id after it.
+
+        The operation's tables go.  Of the vertices from n0 on, the dead
+        ones, those r does not reach, are dropped: from the first dead id
+        on, the unique tables' keys are popped (they are the last ones
+        inserted), the columns are truncated, and the live vertices are
+        interned again, children first.  Only those live vertices, r among
+        them, may get new ids.
+        """
+        self._memo_and = self._memo_or = None
+        self._memo_merge = self._memo_restrict = None
+        kind = self._kind
+        end = len(kind)
+        lo = self._lo
+        hi = self._hi
+        kids = self._kids
+        # live[w - n0] is set for the vertices from n0 on that r reaches: a
+        # child's id is below its parent's, so no older vertex leads to one
+        live = bytearray(end - n0)
+        stack = []
+        if r is not None and r >= n0:
+            live[r - n0] = 1
+            stack.append(r)
+        while stack:
+            u = stack.pop()
+            for c in kids[u] or (lo[u], hi[u]):
+                if c >= n0 and not live[c - n0]:
+                    live[c - n0] = 1
+                    stack.append(c)
+        first = live.find(0)
+        if first < 0:
+            return r
+        first += n0
+        keep = []
+        for table in (self._unique, self._uconj):
+            while table:
+                key, w = table.popitem()
+                if w < first:
+                    table[key] = w
+                    break
+                if live[w - n0]:
+                    keep.append((w, key, table is self._uconj))
+        for column in (kind, self._var, lo, hi, kids, self._vs, self._minrank):
+            del column[first:]
+        self._dropped += end - first - len(keep)
+        keep.sort()
+        new = {}
+        for w, key, conj in keep:
+            if conj:
+                new[w] = self._intern_conj([new.get(c, c) for c in key])
+            else:
+                x, l, h = key
+                new[w] = self.make_decision(x, new.get(l, l), new.get(h, h))
+        return new.get(r, r)
 
     # ------------------------------------------------------------------
     # canonicalizing constructors
@@ -461,13 +563,11 @@ class DiagramStore:
         A cofactor's oversized factors get a key of their own when there
         are at least `lone`: 2 for factors canonical at i, as one of them
         is canonical as it is; 1 for factors canonical only at a larger
-        bound (convert_down).  A key maps to one vertex in either mode.
-        Keys of factors canonical at i stay in _memo_merge, where later
-        merges find them; convert_down's keys live for the call, and only
-        its root key is kept.
+        bound (convert_down).  A key maps to one vertex in either mode, so
+        both keep their keys in the operation's _memo_merge.
         """
-        table = self._memo_merge.setdefault(i, {})
-        r = table.get(bigs)
+        memo = self._memo_merge
+        r = memo.get(bigs)
         if r is not None:
             return r
         vs = self._vs
@@ -478,7 +578,6 @@ class DiagramStore:
             if union & vs[p]:
                 raise DecompositionError("factors to merge share variables")
             union |= vs[p]
-        memo = table if lone == 2 else {}
 
         def step(bigs):
             first = bigs[0]
@@ -506,8 +605,7 @@ class DiagramStore:
             memo[bigs] = self._decision(self._var[first], halves[0],
                                         halves[1], i)
 
-        r = table[bigs] = _walk(bigs, memo, step)
-        return r
+        return _walk(bigs, memo, step)
 
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
@@ -535,6 +633,7 @@ class DiagramStore:
         else:
             memo[u] = self._conj_parts(parts, i, pending)
 
+    @_operation
     def decompose(self, u, i):
         """Canonical form at bound i of any ordered raw diagram.
 
@@ -549,15 +648,15 @@ class DiagramStore:
         return self._kept(
             _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True)))
 
+    @_operation
     def convert_down(self, u, i):
         """Re-canonicalize a diagram canonical at some bound j >= i down to i.
 
         Factors that already fit the target bound are kept verbatim, here
         and in every cofactor.  The oversized ones are merged straight from
         their bound-j form, top-down, so no bound-i form of a single
-        oversized factor is built unless it is part of the result.  The
-        merge's keys live for the call; the store keeps only the merge of
-        the root's oversized factors, so converting u again interns nothing.
+        oversized factor is built unless it is part of the result, and
+        converting u again interns nothing.
         """
         vs = self._vs
         if vs[u].bit_count() <= i:
@@ -595,7 +694,7 @@ class DiagramStore:
             return u
         if self._var[u] == x and self._kind[u] == KIND_DECISION:
             return self._hi[u] if b else self._lo[u]
-        cache = self._memo_restrict.setdefault((x, b, i), {})
+        cache = self._memo_restrict.setdefault((x, b), {})
         if u in cache:
             return cache[u]
         vs = self._vs
@@ -614,23 +713,25 @@ class DiagramStore:
 
         return _walk(u, cache, lambda u: self._rebuild(u, i, cache, keep))
 
+    @_operation
     def conjoin(self, u, v, i):
         return self._apply(u, v, i, self._memo_and, FALSE, self._conjoin_split)
 
+    @_operation
     def disjoin(self, u, v, i):
         return self._apply(u, v, i, self._memo_or, TRUE, self._disjoin_split)
 
-    def _apply(self, u, v, i, table, zero, split):
+    def _apply(self, u, v, i, memo, zero, split):
         """Conjoin (zero FALSE) or disjoin (zero TRUE) on a frame stack.
 
-        zero absorbs and 1 - zero is neutral; the memo key puts the smaller
-        id first.  split(u, v, i), for a pair the memo lacks, returns its
-        result; or None to expand it on its earliest variable; or a triple
-        (a, b, then) for a pair whose result is the conjunction of the
-        result r of the pair (a, b) with the factors then, which share no
-        variable with r.  then is a tuple of canonical factors, or a list
-        of literals, which fit every bound and so join r's factors as they
-        are.
+        zero absorbs and 1 - zero is neutral; memo, the operation's table,
+        keys a pair with the smaller id first.  split(u, v, i), for a pair
+        memo lacks, returns its result; or None to expand it on its earliest
+        variable; or a triple (a, b, then) for a pair whose result is the
+        conjunction of the result r of the pair (a, b) with the factors
+        then, which share no variable with r.  then is a tuple of canonical
+        factors, or a list of literals, which fit every bound and so join
+        r's factors as they are.
 
         Most pairs are expanded, and a frame kept in locals, pushed as a
         tuple, costs less than a generator, so the apply keeps its own
@@ -638,7 +739,6 @@ class DiagramStore:
         while its false cofactor pair runs, 1 while its true pair hi runs
         (lo holds the false result), 2 while the pair of a triple runs.
         """
-        memo = table.setdefault(i, {})
         one = 1 - zero
         vs = self._vs
         kind = self._kind
@@ -799,6 +899,7 @@ class DiagramStore:
         b = self.make_conj([p for p in pv if p not in shared])
         return a, b, tuple(shared)
 
+    @_operation
     def negate(self, u, i):
         """Canonical negation of u, on a table of the call's own.
 
@@ -907,6 +1008,7 @@ class DiagramStore:
 
         return self._kept(_walk(u, memo, step))
 
+    @_operation
     def condition(self, u, assignment, i):
         """Canonical form of u under a partial assignment (var -> bool), in
         one walk: a decision vertex on an assigned variable becomes its
@@ -921,6 +1023,7 @@ class DiagramStore:
             lambda u: ((hi if true >> minrank[u] & 1 else lo)[u],),
             lambda r: r)
 
+    @_operation
     def forget(self, u, variables, i):
         """u with the given variables existentially quantified, in one walk:
         a decision vertex on one of them becomes the disjunction of its

@@ -14,7 +14,6 @@ operation is called, so a bug in the engine cannot hide itself here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Union
 
@@ -26,18 +25,44 @@ from .store import Bound, parse_bound
 DEFAULT_SEMANTIC_LIMIT = 12
 
 
-@dataclass
 class ValidationReport:
-    bound: Bound
-    root: int
-    vertex_count: int
-    ordered_ok: bool = True
-    reduced_ok: bool = True
-    bounded_ok: bool = True
-    decomposition_finest_ok: Union[bool, str] = True  # True / False / "skipped"
-    exact_checked: int = 0  # decision/conjunction vertices within the limit
-    skipped: int = 0        # decision/conjunction vertices above it
-    offending: dict = field(default_factory=dict)
+    __slots__ = ("bound", "root", "vertex_count", "ordered_ok", "reduced_ok",
+                 "bounded_ok", "decomposition_finest_ok", "exact_checked",
+                 "skipped", "offending")
+
+    def __init__(self, bound: Bound, root: int, vertex_count: int,
+                 ordered_ok: bool = True, reduced_ok: bool = True,
+                 bounded_ok: bool = True,
+                 decomposition_finest_ok: Union[bool, str] = True,
+                 exact_checked: int = 0, skipped: int = 0,
+                 offending: dict | None = None):
+        self.bound = bound
+        self.root = root
+        self.vertex_count = vertex_count
+        self.ordered_ok = ordered_ok
+        self.reduced_ok = reduced_ok
+        self.bounded_ok = bounded_ok
+        # True / False / "skipped"
+        self.decomposition_finest_ok = decomposition_finest_ok
+        # decision/conjunction vertices within the limit, and above it
+        self.exact_checked = exact_checked
+        self.skipped = skipped
+        self.offending = {} if offending is None else offending
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not ValidationReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"ValidationReport({fields})"
 
     @property
     def ok(self) -> bool:

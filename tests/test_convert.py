@@ -135,9 +135,9 @@ def test_convert_down_builds_no_dead_vertices():
     interned = store.num_vertices - before
     assert store.vertex_count(r0) == 3 * 2 ** 8 - 1
     assert interned <= store.vertex_count(r0)
-    # the merge's keys live for the call: the store keeps only the root's
-    # key, and converting again interns nothing
-    assert len(store._memo_merge[0]) <= 1
+    # the merge's keys live for the operation: the store keeps no merge
+    # entry, and converting again interns nothing
+    assert not store._memo_merge
     before = store.num_vertices
     assert convert_down(store, r1, 0) == r0
     assert store.num_vertices == before
@@ -146,18 +146,16 @@ def test_convert_down_builds_no_dead_vertices():
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
 def test_convert_down_shares_the_merge_table_with_conjoin(bound):
-    # one table maps factor tuples to their canonical conjunction: the keys
-    # of conjoin's merges of canonical factors, and the root key of each
-    # convert_down of source-bound ones; each may read the other's entries
-    # and must still give one vertex
-    filled = 0
+    # within an operation one table maps factor tuples to their canonical
+    # conjunction: the keys of merges of canonical factors, and the keys of
+    # convert_down's merges of source-bound ones; compiling and converting
+    # must still give one vertex, whichever runs first
     vt = var_tables(range(1, 11))
     for seed in range(8):
         cnf = random_cnf(10, 22, seed=90 + seed)
         store = DiagramStore(natural_order(10))
         low = compile_cnf(cnf, bound, store=store)[1]
         high = compile_cnf(cnf, INF, store=store)[1]
-        filled += len(store._memo_merge.get(bound, ()))
         assert convert_down(store, high, bound) == low
         # converting first, then compiling
         store = DiagramStore(natural_order(10))
@@ -166,4 +164,3 @@ def test_convert_down_shares_the_merge_table_with_conjoin(bound):
         assert compile_cnf(cnf, bound, store=store)[1] == down
         assert diagram_table(store, down, range(1, 11)) == \
             cnf_table(cnf, range(1, 11), vt)
-    assert filled

@@ -172,10 +172,13 @@ def test_forget_matches_existential_projection(vt8):
 
 
 def _old_condition(store, u, asg, bound):
-    # one variable at a time, deepest first, through the conjoin's peel
-    for x in sorted(asg, key=store.rank.__getitem__, reverse=True):
-        u = store._restrict1(u, x, asg[x], bound)
-    return u
+    # one variable at a time, deepest first, through the conjoin's peel, in
+    # one operation of the store, whose tables the peel uses
+    def peel(u):
+        for x in sorted(asg, key=store.rank.__getitem__, reverse=True):
+            u = store._restrict1(u, x, asg[x], bound)
+        return u
+    return store._run(peel, u)
 
 
 def _old_forget(store, u, gone, bound):
@@ -186,15 +189,18 @@ def _old_forget(store, u, gone, bound):
     return u
 
 
-def _old_negate(store, u, bound, memo=None):
-    # the Shannon walk that interns every cofactor it visits
-    memo = {FALSE: TRUE, TRUE: FALSE} if memo is None else memo
-    if u not in memo:
-        u0, u1 = store._cofactor_top(u, bound)
-        memo[u] = store._decision(store.order.vars[store._minrank[u]],
-                                  _old_negate(store, u0, bound, memo),
-                                  _old_negate(store, u1, bound, memo), bound)
-    return memo[u]
+def _old_negate(store, u, bound):
+    # the Shannon walk that interns every cofactor it visits, in one
+    # operation of the store, whose tables the cofactors' merges use
+    memo = {FALSE: TRUE, TRUE: FALSE}
+
+    def walk(u):
+        if u not in memo:
+            u0, u1 = store._cofactor_top(u, bound)
+            memo[u] = store._decision(store.order.vars[store._minrank[u]],
+                                      walk(u0), walk(u1), bound)
+        return memo[u]
+    return store._run(walk, u)
 
 
 def _one_walk_cases():

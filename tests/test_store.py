@@ -1,5 +1,7 @@
 """Vertex store: hash consing, reduction, structural accessors."""
 
+import random
+
 import pytest
 
 from kcdag import FALSE, TRUE
@@ -11,8 +13,9 @@ from kcdag.engine import (
     KIND_FALSE,
     KIND_TRUE,
 )
-from kcdag.cnf import CNF
-from kcdag.compiler import compile_cnf
+from kcdag.cnf import CNF, oracle_count
+from kcdag.compiler import clause_diagram, compile_cnf
+from kcdag.diagram_io import serialize
 from kcdag.errors import DecompositionError, InputError, OrderViolationError
 from kcdag.families import random_cnf
 from kcdag.ordering import VariableOrder, natural_order
@@ -151,8 +154,9 @@ def test_clear_memo_keeps_vertices(store):
         store.clear_memo()
         assert every_op(bound) == before
 
-    # the unique tables are the store's only index; every other table is a
-    # computed one that clear_memo drops
+    # the unique tables are the store's only index; between operations every
+    # other table is a computed one that clear_memo drops, as an operation's
+    # own tables end with it
     assert all(getattr(store, name) for name in _MEMO_TABLES)
     store.clear_memo()
     tables = {name for name, value in vars(store).items() if isinstance(value, dict)}
@@ -220,3 +224,111 @@ def test_permuted_order_keeps_ranks_and_names_apart():
         got = store.condition(u, {5: False}, bound)
         assert store.vars_of(got) == frozenset({2, 7, 9})
         assert store.model_count(got) == 1
+
+
+def _settle_cases():
+    # per pinned formula and bound: a second formula, three assignments to
+    # 2 variables each and 3 variables to forget
+    for seed in range(4):
+        rng = random.Random(seed)
+        asgs = [{x: rng.random() < 0.5 for x in rng.sample(range(1, 13), 2)}
+                for _ in range(3)]
+        gone = rng.sample(range(1, 13), 3)
+        for bound in (0, 1, 2, INF):
+            yield (random_cnf(12, 30, seed=seed), random_cnf(12, 30, seed=seed + 10),
+                   bound, asgs, gone)
+
+
+def test_operations_leave_only_their_results():
+    # every vertex at or above the store's size before a transformation is
+    # reachable from its result, and the roots made earlier keep their bytes
+    for cnf, other, bound, asgs, gone in _settle_cases():
+        store = DiagramStore(natural_order(12))
+        made = []
+
+        def run(op, *args):
+            n0 = len(store._kind)
+            r = op(*args)
+            if op is compile_cnf:
+                r = r[1]
+            assert set(range(n0, len(store._kind))) <= set(store.topological(r)), op
+            made.append((r, serialize(store, r, bound)))
+            return r
+
+        u = run(compile_cnf, cnf, bound, None, "bucket", store)
+        v = run(compile_cnf, other, bound, None, "bucket", store)
+        run(store.conjoin, u, v, bound)
+        run(store.disjoin, u, v, bound)
+        run(store.negate, u, bound)
+        for asg in asgs:
+            run(store.condition, u, asg, bound)
+        run(store.forget, u, gone, bound)
+        down = run(store.convert_down, u, 0)
+        run(store.decompose, down, bound)
+        for r, text in made:
+            assert serialize(store, r, bound) == text
+
+
+def test_model_counts_after_reused_ids():
+    # writes on one store drop dead vertices, so later vertices take their
+    # ids; _memo_count, the one id-keyed table that outlives an operation,
+    # holds only ids below the store's size, and every count stays exact
+    scope = range(1, 13)
+    rng = random.Random(7)
+    dropped = False
+    for bound in (0, 1, INF):
+        store = DiagramStore(natural_order(12))
+        cnf = random_cnf(12, 24, seed=5)
+        u = compile_cnf(cnf, bound, store=store)[1]
+        for _ in range(6):
+            clause = [x if rng.random() < 0.5 else -x for x in rng.sample(scope, 3)]
+            cnf = CNF(12, list(cnf.clauses))
+            cnf.add_clause(clause)
+            u = store.conjoin(u, clause_diagram(store, clause), bound)
+            asg = {x: rng.random() < 0.5 for x in rng.sample(scope, 2)}
+            fixed = CNF(12, list(cnf.clauses))
+            for x, b in asg.items():
+                fixed.add_clause([x if b else -x])
+            cond = store.condition(u, asg, bound)
+            neg = store.negate(u, bound)
+            want = oracle_count(cnf)
+            for w, count in ((u, want), (neg, 2 ** 12 - want),
+                             (cond, oracle_count(fixed) << len(asg))):
+                assert store.model_count(w) << 12 - len(store.vars_of(w)) == count
+            assert all(k < len(store._kind) for k in store._memo_count)
+        dropped |= store.num_vertices > len(store._kind)
+    assert dropped
+
+
+def test_forget_inside_its_own_operation():
+    # forget's walk calls disjoin, which runs inside forget's operation and
+    # drops nothing of the walk; the result still equals the old route,
+    # deepest variable first, each the disjunction of its two conditions
+    for cnf, _, bound, _, gone in _settle_cases():
+        store = DiagramStore(natural_order(12))
+        u = compile_cnf(cnf, bound, store=store)[1]
+        got = store.forget(u, gone, bound)
+        want = u
+        for x in sorted(gone, reverse=True):
+            want = store.disjoin(store.condition(want, {x: False}, bound),
+                                 store.condition(want, {x: True}, bound), bound)
+        assert got == want
+
+
+def test_an_operation_that_raises_drops_what_it_interned():
+    # the tables go and the vertices the operation made are dropped, so the
+    # next operation runs on its own and settles again
+    store, u = compile_cnf(random_cnf(12, 30, seed=0), 1)
+    v = compile_cnf(random_cnf(12, 30, seed=10), 1, store=store)[1]
+    n0 = len(store._kind)
+
+    def build():
+        store.conjoin(u, v, 1)
+        assert len(store._kind) > n0  # inside build, nothing is dropped yet
+        raise InputError("stop")
+
+    with pytest.raises(InputError, match="stop"):
+        store._run(build)
+    assert len(store._kind) == n0 and store._memo_and is None
+    w = store.conjoin(u, v, 1)
+    assert set(range(n0, len(store._kind))) <= set(store.topological(w))
