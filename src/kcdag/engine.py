@@ -22,11 +22,14 @@ the apply-style operations are built from.
 
 A conjunction vertex is interned only when it is kept.  The rebuild walks of
 decompose, condition and forget and the Shannon walk of negate carry a
-conjunction as pending, the tuple of its canonical factors in the order of a
-conjunction vertex's children, and intern it only as the walk's result or as
-a branch of a decision vertex that they build.  The decision rules live in
-_decision alone: its pending flag lets a branch be pending and returns a
-conjunction result as pending, and the apply and _merge_bigs leave it clear.
+conjunction as pending, the triple (factors, mask, values): its literals as
+a cube (Bryant's restriction), a rank mask and the mask of the positive ones,
+and its other factors in a tuple in the order of a conjunction vertex's
+children, as _merge_bigs's keys do.  A walk interns it, literals too, only as
+its result or as a branch of a decision vertex it builds.  The decision rules
+live in _decision alone: its pending flag lets a branch be pending and
+returns a conjunction result as pending; the apply and _merge_bigs leave it
+clear.
 
 Every public transformation is one operation of its store (DiagramStore._run).
 Its computed tables, which hold results so that a repeated pair returns at
@@ -132,7 +135,7 @@ class DiagramStore:
         self._dropped = 0
         # an operation's computed tables, None between operations:
         # conjoin and disjoin map (u, v), u < v, to their result; the merge
-        # maps a tuple of factors to their AND; the literal peel maps
+        # maps a triple of factors to their AND; the literal peel maps
         # (x, b) to {u: u with x fixed to b}
         self._memo_and = self._memo_or = None
         self._memo_merge = self._memo_restrict = None
@@ -441,9 +444,9 @@ class DiagramStore:
 
         The rules apply in order: reduction, literal extraction, then
         extraction of the factors shared by both branches.  With pending
-        set, a conjunction branch is pending and a conjunction result is
-        returned as pending (see _conj_parts); a pending branch is interned
-        only as the branch of a decision vertex built.
+        set, a conjunction branch and result are pending triples (see
+        _conj_parts), which share a literal when both masks hold it with one
+        value; a branch is interned only as that of a decision vertex built.
         """
         if lo == hi:
             return lo
@@ -452,64 +455,99 @@ class DiagramStore:
             return self.make_decision(var, lo, hi)
         if lo == FALSE or hi == FALSE:
             # the vertex is a literal AND the other branch
-            lead = self.literal(var, lo == FALSE)
             rest = hi if lo == FALSE else lo
-            if rest == TRUE:
-                return lead
-            rest = rest if rest.__class__ is tuple else self._parts(rest)
-        elif ((not pending or (lo.__class__ is not tuple
-                                and hi.__class__ is not tuple))
-                and self._kind[lo] != KIND_CONJ
-                and self._kind[hi] != KIND_CONJ):
-            # two distinct single factors share none; only pending mode
-            # has tuples
+            if rest == TRUE or not pending:
+                lead = self.literal(var, lo == FALSE)
+                return (lead if rest == TRUE
+                        else self._intern_conj([lead, *self._parts(rest)]))
+            f, m, v = self._pend(rest, True)
+            bit = 1 << self.rank[var]
+            return f, m | bit, v | bit if lo == FALSE else v
+        if (lo.__class__ is not tuple and hi.__class__ is not tuple
+                and self._kind[lo] != KIND_CONJ and self._kind[hi] != KIND_CONJ):
+            # two distinct single factors share none
             return self.make_decision(var, lo, hi)
-        else:
-            # factors common to both branches come out of the decision, a
-            # branch that is itself a factor of the other included:
-            # <x, p, p AND R>  =  p AND <x, true, R>
-            klo = lo if lo.__class__ is tuple else self._parts(lo)
-            khi = hi if hi.__class__ is tuple else self._parts(hi)
-            shared = set(klo).intersection(khi)
-            vs = self._vs
-            big = None
-            shared_nv = 0
-            for c in shared:
-                nv = vs[c].bit_count()
-                shared_nv += nv
-                if nv > i:
-                    big = c
-            if big is not None:
-                # keeping the big shared factor is only allowed when the
-                # residual decision vertex stays within the bound
-                union = 0
-                for c in klo + khi:
+        # factors common to both branches come out of the decision, a
+        # branch that is itself a factor of the other included:
+        # <x, p, p AND R>  =  p AND <x, true, R>; pending branches share the
+        # literals both masks hold with one value, the apply's are factors
+        fl, ml, vl = self._pend(lo, True) if pending else (self._parts(lo), 0, 0)
+        fh, mh, vh = self._pend(hi, True) if pending else (self._parts(hi), 0, 0)
+        sm = ml & mh & ~(vl ^ vh)
+        shared = set(fl).intersection(fh)
+        vs = self._vs
+        big = shared and i != INF and [c for c in shared
+                                       if vs[c].bit_count() > i]
+        if big:
+            # keeping the big shared factor is only allowed when the
+            # residual decision vertex stays within the bound
+            union = (ml | mh) ^ sm
+            for c in fl + fh:
+                if c not in shared:
                     union |= vs[c]
-                if 1 + union.bit_count() - shared_nv > i:
-                    # the big factor moves back into both residues
-                    shared.remove(big)
-            if not shared:
-                # no rule applies, so the vertex keeps its branches
-                if pending:
-                    lo = self._kept(lo)
-                    hi = self._kept(hi)
-                return self.make_decision(var, lo, hi)
-            # the residues share no factor, or only the big one moved back
-            # into them, so no rule applies to their decision vertex
-            lead = self.make_decision(
-                var, self.make_conj([c for c in klo if c not in shared]),
-                self.make_conj([c for c in khi if c not in shared]))
-            rest = [c for c in klo if c in shared]
+            if 1 + union.bit_count() > i:
+                # the big factor moves back into both residues
+                shared.remove(big[0])
+        if not shared and not sm:
+            # no rule applies, so the vertex keeps its branches
+            if pending:
+                lo, hi = self._kept(lo), self._kept(hi)
+            return self.make_decision(var, lo, hi)
+        # the residues share no factor, or only the big one moved back
+        # into them, so no rule applies to their decision vertex
+        lead = self.make_decision(
+            var, self._kept(([c for c in fl if c not in shared], ml ^ sm, vl)),
+            self._kept(([c for c in fh if c not in shared], mh ^ sm, vh)))
         # var precedes every factor of both branches, so the decision vertex
         # on it comes first; at most one factor exceeds the bound, as lead
         # fits it whenever a big shared factor is kept, so none are merged
-        if pending:
-            return (lead, *rest)
-        return self._intern_conj([lead, *rest])
+        r = (lead, *[c for c in fl if c in shared]), sm, vl & sm
+        return r if pending else self._kept(r)
 
     def _kept(self, r):
-        """r as a vertex: a pending conjunction is interned."""
-        return self._intern_conj(list(r)) if r.__class__ is tuple else r
+        """r as a vertex: a pending conjunction is interned, literals too."""
+        if r.__class__ is not tuple:
+            return r
+        kids = [*r[0]]
+        mask = r[1]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            x = self.order.vars[low.bit_length() - 1]
+            key = (x, FALSE, TRUE) if r[2] & low else (x, TRUE, FALSE)
+            kids.append(self._unique.get(key) or self.make_decision(*key))
+        if len(kids) > 1:
+            return self._intern_conj(kids)
+        return kids[0] if kids else TRUE
+
+    def _cube(self, factors, mask=0, values=0):
+        """factors, neither false nor conjunctions, as a pending triple."""
+        vs = self._vs
+        rest = []
+        for p in factors:
+            pvs = vs[p]
+            if pvs & (pvs - 1):
+                rest.append(p)
+            else:
+                mask |= pvs
+                values |= pvs if self._lo[p] == FALSE else 0
+        return tuple(rest), mask, values
+
+    def _pend(self, r, always=False):
+        """A triple for a conjunction vertex, or any vertex with always set."""
+        if r.__class__ is tuple:
+            return r
+        kids = self._kids[r] or (always and (r,))
+        return self._cube(kids) if kids else r
+
+    def _peel(self, key):
+        """(x, value, rest) for a triple led by the literal on x."""
+        factors, mask, values = key
+        low = mask & -mask
+        if not low or factors and low.bit_length() > self._minrank[factors[0]]:
+            return None
+        return (self.order.vars[low.bit_length() - 1], values & low,
+                (factors, mask ^ low, values & ~low))
 
     def _conj_parts(self, parts, i, pending=False):
         """Canonical conjunction of canonical, variable-disjoint factors.
@@ -518,45 +556,51 @@ class DiagramStore:
         they are collapsed and flattened first.  If more than one surviving
         factor exceeds the bound, the oversized ones are merged into a
         single decision vertex.  With pending set, a conjunction result is
-        returned as a pending conjunction: the tuple of its factors, sorted
-        like a conjunction vertex's children.
+        returned as a pending conjunction: the triple of its literals' masks
+        and its other factors, sorted like a conjunction vertex's children.
         """
         flat = []
+        mask = values = 0
         kind = self._kind
         for p in parts:
-            if pending and p.__class__ is tuple:
-                flat.extend(p)
-                continue
-            k = kind[p]
-            if k == KIND_FALSE:
-                return FALSE
-            if k == KIND_TRUE:
-                continue
-            if k == KIND_CONJ:
+            if p.__class__ is tuple:
+                flat.extend(p[0])
+                mask |= p[1]
+                values |= p[2]
+            elif kind[p] == KIND_CONJ:
                 flat.extend(self._kids[p])
-            else:
+            elif p > TRUE:
                 flat.append(p)
-        if len(flat) <= 1:
+            elif p == FALSE:
+                return FALSE
+        if len(flat) <= 1 and not mask:
             return flat[0] if flat else TRUE
+        if pending or i == 0:
+            flat, mask, values = self._cube(flat, mask, values)
+            if len(flat) + mask.bit_count() <= 1:
+                return self._kept((flat, mask, values))
         if i != INF:
             vs = self._vs
             bigs = [p for p in flat if vs[p].bit_count() > i]
-            if len(bigs) >= 2:
+            lits = 0 if i else mask  # literals exceed only bound 0
+            if len(bigs) + lits.bit_count() >= 2:
                 bigs.sort(key=self._minrank.__getitem__)
                 # the merged decision vertex is the only oversized factor
                 flat = [p for p in flat if vs[p].bit_count() <= i]
-                flat.append(self._merge_bigs(tuple(bigs), i))
-                if len(flat) == 1:
+                flat.append(self._merge_bigs(
+                    (tuple(bigs), lits, values & lits), i))
+                mask ^= lits
+                if len(flat) == 1 and not mask:
                     return flat[0]
         if pending:
-            flat.sort(key=self._minrank.__getitem__)
-            return tuple(flat)
+            return (tuple(sorted(flat, key=self._minrank.__getitem__)),
+                    mask, values)
         return self._intern_conj(flat)
 
-    def _merge_bigs(self, bigs, i, lone=2):
-        """Canonical vertex at bound i of the conjunction of bigs,
-        variable-disjoint decision vertices of more than i variables each,
-        in order of their earliest variables.
+    def _merge_bigs(self, key, i, lone=2):
+        """Canonical vertex at bound i of the conjunction of key, a triple
+        like a pending conjunction's of variable-disjoint decision vertices
+        of more than i variables each; literals exceed only bound 0.
 
         The walk branches on the earliest variable and descends into the
         cofactors, building only vertices of the product (Bryant's Apply).
@@ -567,45 +611,60 @@ class DiagramStore:
         both keep their keys in the operation's _memo_merge.
         """
         memo = self._memo_merge
-        r = memo.get(bigs)
+        r = memo.get(key)
         if r is not None:
             return r
         vs = self._vs
+        lo = self._lo
         by_rank = self._minrank.__getitem__
         # the factors of a key's cofactors stay disjoint from the rest
-        union = 0
-        for p in bigs:
+        union = key[1]
+        for p in key[0]:
             if union & vs[p]:
                 raise DecompositionError("factors to merge share variables")
             union |= vs[p]
 
-        def step(bigs):
-            first = bigs[0]
-            rest = bigs[1:]
+        def step(key):
+            peeled = key[1] and self._peel(key)
+            if peeled:
+                # a leading literal: <x, false, rest> or <x, rest, false>
+                x, value, sub = peeled
+                if len(sub[0]) + sub[1].bit_count() >= lone:
+                    yield sub
+                r = memo[sub] if sub in memo else self._kept(sub)
+                memo[key] = (self.make_decision(x, FALSE, r) if value
+                             else self.make_decision(x, r, FALSE))
+                return
+            first, rest = key[0][0], key[0][1:]
             halves = []
-            for half in (self._lo[first], self._hi[first]):
+            for half in (lo[first], self._hi[first]):
                 if half == FALSE:
                     halves.append(FALSE)
                     continue
                 # a cofactor's oversized factors need a merge of their own
                 smalls = []
                 big = []
-                for p in self._parts(half):
-                    (big if vs[p].bit_count() > i else smalls).append(p)
-                if len(big) + len(rest) >= lone:
-                    key = rest
-                    if big:
-                        key = tuple(sorted(rest + tuple(big), key=by_rank))
-                    yield key
-                    smalls.append(memo[key])
-                else:
-                    smalls.extend(rest)
-                    smalls.extend(big)
-                halves.append(self._conj_parts(smalls, i))
-            memo[bigs] = self._decision(self._var[first], halves[0],
-                                        halves[1], i)
+                m, v = key[1:]
+                for p in self._kids[half] or (half,):
+                    pvs = vs[p]
+                    if pvs.bit_count() <= i:
+                        smalls.append(p)
+                    elif pvs & (pvs - 1):
+                        big.append(p)
+                    else:
+                        m |= pvs
+                        v |= pvs if lo[p] == FALSE else 0
+                sub = (tuple(sorted(rest + tuple(big), key=by_rank))
+                       if rest and big else rest + tuple(big), m, v)
+                if len(sub[0]) + m.bit_count() >= lone:
+                    yield sub
+                smalls.append(memo[sub] if sub in memo else self._kept(sub))
+                halves.append(self._conj_parts(smalls, i) if smalls[1:]
+                              else smalls[0])
+            memo[key] = self._decision(self._var[first], halves[0],
+                                       halves[1], i)
 
-        return _walk(bigs, memo, step)
+        return _walk(key, memo, step)
 
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
@@ -637,16 +696,21 @@ class DiagramStore:
     def decompose(self, u, i):
         """Canonical form at bound i of any ordered raw diagram.
 
-        The walk interns only what is kept: a conjunction stays pending
-        until it is the result or a branch of a decision vertex built.  Its
-        table lives for the call, so the store keeps nothing else.
+        Every vertex below u is rebuilt, children first, and only what is
+        kept is interned: a conjunction stays pending until it is the result
+        or a branch of a decision vertex built.  The pass keeps nothing else.
         """
-        # every child is rebuilt, so every conjunction in the walk is
-        # pending and _decision never meets one as a vertex and as pending;
-        # memo.get spares a frame for a child already done
+        # every conjunction in the pass is pending, so _decision never meets
+        # one as a vertex and as pending; a loop needs no frame per vertex
+        kids = self._kids
         memo = {FALSE: FALSE, TRUE: TRUE}
-        return self._kept(
-            _walk(u, memo, lambda u: self._rebuild(u, i, memo, memo.get, True)))
+        for w in self.topological(u):
+            if kids[w]:
+                memo[w] = self._conj_parts([memo[c] for c in kids[w]], i, True)
+            elif w > TRUE:
+                memo[w] = self._decision(self._var[w], memo[self._lo[w]],
+                                         memo[self._hi[w]], i, True)
+        return self._kept(memo[u])
 
     @_operation
     def convert_down(self, u, i):
@@ -659,8 +723,6 @@ class DiagramStore:
         converting u again interns nothing.
         """
         vs = self._vs
-        if vs[u].bit_count() <= i:
-            return u
         parts = self._parts(u)
         # a conjunction's children are in order of their earliest variables
         bigs = tuple(p for p in parts if vs[p].bit_count() > i)
@@ -669,7 +731,7 @@ class DiagramStore:
             # bound from i up
             return u
         smalls = [p for p in parts if vs[p].bit_count() <= i]
-        smalls.append(self._merge_bigs(bigs, i, 1))
+        smalls.append(self._merge_bigs(self._cube(bigs), i, 1))
         return self._conj_parts(smalls, i)
 
     # ------------------------------------------------------------------
@@ -905,44 +967,44 @@ class DiagramStore:
 
         Negation does not distribute over a conjunction's factors, so every
         key branches on its earliest variable.  A key is a vertex or a
-        pending conjunction, a conjunction always as its children tuple, so
-        one function is one key; only the result is interned.
+        pending conjunction, a conjunction always as its triple, so one
+        function is one key; only the result is interned.
         """
         var = self._var
         lo = self._lo
         hi = self._hi
-        kids = self._kids
         vs = self._vs
         by_rank = self._minrank.__getitem__
-        parts = self._conj_parts
         memo = {FALSE: TRUE, TRUE: FALSE}
 
         def cofactor(half, rest):
-            # half AND rest, the other factors of a canonical conjunction:
-            # both sides are flat and hold at most one oversized factor each,
-            # so only two of those need _conj_parts's merge
-            if half == FALSE:
-                return FALSE
-            if half == TRUE:
-                return rest[0] if len(rest) == 1 else rest
-            hp = kids[half] or (half,)
-            if (i != INF and any(vs[p].bit_count() > i for p in hp)
-                    and any(vs[q].bit_count() > i for q in rest)):
-                return parts([half, *rest], i, True)
-            return tuple(sorted(hp + rest, key=by_rank))
+            # half AND rest, the key's other factors: only an oversized
+            # factor on each side needs _conj_parts's merge
+            if half == TRUE and len(rest[0]) + rest[1].bit_count() > 1:
+                return rest
+            hp = self._kids[half] or (half,)
+            if half < 2 or (i != INF and any(vs[p].bit_count() > i for p in hp)
+                            and any(vs[q].bit_count() > i for q in rest[0])):
+                return self._conj_parts([half, rest], i, True)
+            f, m, v = self._cube(hp, *rest[1:])
+            return tuple(sorted(rest[0] + f, key=by_rank)), m, v
 
         def frame(u):
             # the key with its variable and both cofactors on it
-            if u.__class__ is tuple:
-                c = u[0]
-                rest = u[1:]
-                return (u, var[c], cofactor(lo[c], rest),
-                        cofactor(hi[c], rest))
-            return u, var[u], kids[lo[u]] or lo[u], kids[hi[u]] or hi[u]
+            if u.__class__ is not tuple:
+                return u, var[u], self._pend(lo[u]), self._pend(hi[u])
+            peeled = u[1] and self._peel(u)
+            if peeled:
+                x, value, rest = peeled
+                rest = cofactor(TRUE, rest)
+                return (u, x, FALSE, rest) if value else (u, x, rest, FALSE)
+            c = u[0][0]
+            rest = u[0][1:], u[1], u[2]
+            return u, var[c], cofactor(lo[c], rest), cofactor(hi[c], rest)
 
         # every key has two cofactors, so a tuple frame on an explicit stack
         # does the work of a _walk step without its generator
-        root = kids[u] or u
+        root = self._pend(u)
         stack = [] if root in memo else [frame(root)]
         while stack:
             u, x, u0, u1 = stack[-1]
@@ -975,21 +1037,21 @@ class DiagramStore:
         of branches(u), the branches it needs.  Every other vertex that
         meets mask is rebuilt with conjunctions pending, and a child that
         misses it stays as it is.  Such a conjunction child enters as its
-        children tuple, so that _decision never sees one function both as a
-        vertex and as pending.
+        triple (see _pend), so that _decision never sees one function both
+        as a vertex and as pending.
         """
         vs = self._vs
         if not vs[u] & mask:
             return u
         kind = self._kind
-        kids = self._kids
         minrank = self._minrank
         memo = {}
 
         def keep(c):
-            if vs[c] & mask:
-                return memo.get(c)
-            return kids[c] or c
+            r = memo.get(c)
+            if r is None and not vs[c] & mask:
+                r = memo[c] = self._pend(c)
+            return r
 
         def settle(u):
             results = []
@@ -1028,15 +1090,13 @@ class DiagramStore:
         """u with the given variables existentially quantified, in one walk:
         a decision vertex on one of them becomes the disjunction of its
         branches' results, and a factor without one passes through."""
-        kids = self._kids
         lo = self._lo
         hi = self._hi
 
         def either(r0, r1):
             # disjoin takes vertices; its conjunction result goes back to
             # the walk as pending
-            r = self.disjoin(self._kept(r0), self._kept(r1), i)
-            return kids[r] or r
+            return self._pend(self.disjoin(self._kept(r0), self._kept(r1), i))
 
         return self._sweep(u, self._mask(variables), i,
                            lambda u: (lo[u], hi[u]), either)

@@ -32,6 +32,14 @@ def parity_pairs(half):
     return cnf
 
 
+def cnf_of(n, clauses):
+    """The CNF over variables 1..n of clauses given as lists of literals."""
+    cnf = CNF(n)
+    for c in clauses:
+        cnf.add_clause(c)
+    return cnf
+
+
 def var_tables(scope):
     """{(var, phase): table} for each variable of the sorted scope."""
     vs = sorted(scope)

@@ -13,11 +13,13 @@ from kcdag.compiler import compile_cnf
 from kcdag.convert import convert, convert_down
 from kcdag.engine import DiagramStore
 from kcdag.families import chain_family, random_cnf
-from kcdag.ops import disjoin, negate
+from kcdag.ops import conjoin, disjoin, negate
 from kcdag.ordering import natural_order
 from kcdag.store import INF
+from kcdag.validate import validate
 
-from conftest import cnf_table, diagram_table, parity_pairs, var_tables
+from conftest import (cnf_of, cnf_table, diagram_table, parity_pairs,
+                      var_tables)
 
 
 def robdd_vertex_count_oracle(table, n):
@@ -164,3 +166,46 @@ def test_convert_down_shares_the_merge_table_with_conjoin(bound):
         assert compile_cnf(cnf, bound, store=store)[1] == down
         assert diagram_table(store, down, range(1, 11)) == \
             cnf_table(cnf, range(1, 11), vt)
+
+
+# unit-heavy formulas over 6 variables: a literal before the first factor
+# of more variables, only literals, and a decision on x1 whose cofactors
+# hold only literals, or literals before a factor
+UNIT_HEAVY = [
+    [[1], [2, 3], [-2, -3], [-4], [5, 6]],
+    [[1], [-2], [3], [-5]],
+    [[1, 2], [-1, -2], [1, 3], [-1, -3], [1, -4], [-1, 4]],
+    [[-1, 2], [1, -2], [-1, -3], [1, 4], [1, 5, 6], [-4, -5]],
+]
+
+
+def test_convert_down_to_zero_peels_literals_before_factors():
+    # convert_down (one oversized factor is merged) and conjoin (two or
+    # more are) at bound 0, where every literal is oversized, against the
+    # truth table, the bound-0 compile and validate
+    scope = range(1, 7)
+    vt = var_tables(scope)
+    for clauses in UNIT_HEAVY:
+        cnf = cnf_of(6, clauses)
+        store = DiagramStore(natural_order(6))
+        r0 = compile_cnf(cnf, 0, store=store)[1]
+        assert diagram_table(store, r0, scope) == cnf_table(cnf, scope, vt)
+        assert validate(store, r0, 0).ok
+        for b in (1, 2, INF):
+            assert convert_down(store, compile_cnf(cnf, b, store=store)[1],
+                                0) == r0
+        # the same formula as a conjunction of its clauses' diagrams
+        r = TRUE
+        for c in clauses:
+            r = conjoin(store, r, compile_cnf(cnf_of(6, [c]), 0, store=store)[1],
+                        0)
+        assert r == r0
+        # disjoint literals alone, conjoined at bound 0
+        lits = [store.literal(abs(c[0]), c[0] > 0)
+                for c in clauses if len(c) == 1]
+        if len(lits) >= 2:
+            r = lits[0]
+            for lit in lits[1:]:
+                r = conjoin(store, r, lit, 0)
+            want = cnf_of(6, [c for c in clauses if len(c) == 1])
+            assert r == compile_cnf(want, 0, store=store)[1]

@@ -18,7 +18,8 @@ from kcdag.ordering import natural_order
 from kcdag.store import INF
 from kcdag.validate import validate
 
-from conftest import cnf_table, diagram_table, parity_pairs, var_tables
+from conftest import (cnf_of, cnf_table, diagram_table, parity_pairs,
+                      var_tables)
 
 
 @pytest.fixture
@@ -163,7 +164,21 @@ def test_decision_modes_agree():
     # (the apply) or pending conjunctions (decompose's walk); the bound-2
     # forms of seeds 12 and 23 keep a shared factor larger than the bound
     def pend(r):
-        return store.children(r) if store.is_conj(r) else r
+        # a conjunction as the walk holds it: its other children in order,
+        # and its literals as a rank mask and the mask of the positive ones
+        if not store.is_conj(r):
+            return r
+        factors = []
+        mask = values = 0
+        for c in store.children(r):
+            if len(store.vars_of(c)) > 1:
+                factors.append(c)
+                continue
+            bit = 1 << store.rank[store.var_of(c)]
+            mask |= bit
+            if store.lo(c) == FALSE:
+                values |= bit
+        return tuple(factors), mask, values
 
     checked = 0
     kept_big = set()
@@ -227,3 +242,77 @@ def test_decompose_validates_against_oracle_fuzz():
             store, root = compile_cnf(cnf, bound, order=natural_order(8))
             assert diagram_table(store, root, range(1, 9)) == want
             assert validate(store, root, bound).ok
+
+
+def _parity_clauses(variables):
+    """CNF clauses of: an even number of the variables is false."""
+    n = len(variables)
+    return [[v if (bits >> k) & 1 else -v for k, v in enumerate(variables)]
+            for bits in range(1 << n) if bin(bits).count("1") % 2 != n % 2]
+
+
+def _branch_cases():
+    # (lo, hi): the clauses of each branch of a decision on x1; the first
+    # two hold one literal on x3 in one phase (shared), the next two in
+    # opposite phases (not shared), the last two only literals
+    p45 = _parity_clauses([4, 5])
+    yield [[3]] + p45, [[3], [4, 5]]
+    yield [[-3], [6]] + p45, [[-3], [-6]] + p45
+    yield [[-3]] + p45, [[3], [4, 5]]
+    yield [[3], [6]] + p45, [[-3], [6]] + p45
+    yield [[3], [-4]], [[3], [4]]
+    yield [[3], [-4]], [[-3], [4]]
+
+
+def _decision_cnf(lo, hi, n):
+    # (not x1 -> lo) and (x1 -> hi) as clauses
+    return cnf_of(n, [[1, *c] for c in lo] + [[-1, *c] for c in hi])
+
+
+def _check_decompose(store, raw, cnf, bound, vt):
+    u = decompose(store, raw, bound)
+    scope = range(1, cnf.num_vars + 1)
+    assert diagram_table(store, u, scope) == cnf_table(cnf, scope, vt)
+    assert u == compile_cnf(cnf, bound, store=store)[1]
+    assert validate(store, u, bound).ok
+    return u
+
+
+def test_decompose_literal_branches_shared_or_not():
+    # raw decisions whose branches each hold one literal on x3: in one
+    # phase the literal comes out of the decision, in opposite phases not
+    vt = var_tables(range(1, 7))
+    for lo, hi in _branch_cases():
+        store = DiagramStore(natural_order(6))
+        raw = store.make_decision(
+            1, compile_cnf(cnf_of(6, lo), INF, store=store)[1],
+            compile_cnf(cnf_of(6, hi), INF, store=store)[1])
+        cnf = _decision_cnf(lo, hi, 6)
+        shared = [3] in lo and [3] in hi
+        for bound in (1, 2, 3, INF):
+            u = _check_decompose(store, raw, cnf, bound, vt)
+            assert (store.literal(3) in store.children(u)) == shared
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_shared_literal_beside_an_oversized_shared_factor(bound):
+    # <x1, x2 AND B AND R0, x2 AND B AND R1>: B, the parity of bound + 1
+    # variables, exceeds the bound and is kept out of the decision only
+    # because the residual decision on x1 and R's bound - 1 variables fits
+    # it, once x2, shared in the masks, is not counted in the residue
+    n = 2 * bound + 2
+    b_vars = list(range(3, bound + 4))
+    r_vars = list(range(bound + 4, n + 1))
+    common = [[2]] + _parity_clauses(b_vars)
+    lo = common + [[v] for v in r_vars]
+    hi = common + [[-v] for v in r_vars]
+    store = DiagramStore(natural_order(n))
+    raw = store.make_decision(
+        1, compile_cnf(cnf_of(n, lo), 0, store=store)[1],
+        compile_cnf(cnf_of(n, hi), 0, store=store)[1])
+    u = _check_decompose(store, raw, _decision_cnf(lo, hi, n), bound,
+                         var_tables(range(1, n + 1)))
+    big = compile_cnf(cnf_of(n, _parity_clauses(b_vars)), bound,
+                      store=store)[1]
+    assert set(store.children(u)) >= {store.literal(2), big}
+    assert len(store.children(u)) == 3

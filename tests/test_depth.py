@@ -11,6 +11,7 @@ the interpreter instead of raising RecursionError.
 import contextlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -156,3 +157,22 @@ def test_shuffled_chain_compiles(schedule, bound):
     with shallow_stack():
         store, root = compiled(bound)
         assert compile_cnf(cnf, bound, store=store, schedule=schedule)[1] == root
+
+
+def test_chain_conversions_keep_no_suffix_tuples():
+    # on the 4000-variable chain a conjunction of about 4000 literals is a
+    # pair of 4000-bit masks, so neither conversion keeps a suffix tuple of
+    # literals per step, which took about 125 MB; tracemalloc counts the
+    # operation's own allocations, so the figure does not depend on timing
+    n = 4000
+    cnf = chain_family(1, n - 2, mode="all-equal")
+    for source, target, op in ((0, INF, decompose), (1, 0, convert_down)):
+        store, root = compile_cnf(cnf, source, order=natural_order(n))
+        tracemalloc.start()
+        try:
+            r = op(store, root, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2 ** 20, (source, target, peak)
+        assert r == compile_cnf(cnf, target, store=store)[1]

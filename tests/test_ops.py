@@ -205,10 +205,14 @@ def _old_negate(store, u, bound):
 
 def _one_walk_cases():
     # per pinned formula and bound: the diagram, an assignment to 3 of its
-    # variables and 3 variables to forget
-    for seed in range(4):
-        cnf = random_cnf(12, 30, seed=seed)
+    # variables and 3 variables to forget; seeds 4 to 6 add 5 unit clauses,
+    # so most conjunctions list literals
+    for seed in range(7):
+        cnf = random_cnf(12, 30 if seed < 4 else 18, seed=seed)
         rng = random.Random(seed)
+        if seed >= 4:
+            for x in rng.sample(range(1, 13), 5):
+                cnf.add_clause([x if rng.random() < 0.5 else -x])
         asg = {x: rng.random() < 0.5 for x in rng.sample(range(1, 13), 3)}
         gone = rng.sample(range(1, 13), 3)
         for bound in BOUNDS:
