@@ -19,6 +19,7 @@ from .errors import (
     KcdagError,
     OracleLimitError,
     OrderViolationError,
+    ResourceLimitError,
     SerializationError,
 )
 from .families import chain_family, random_cnf
@@ -58,6 +59,7 @@ __all__ = [
     "Literal",
     "OracleLimitError",
     "OrderViolationError",
+    "ResourceLimitError",
     "SerializationError",
     "TRUE",
     "ValidationReport",

@@ -40,6 +40,17 @@ dropping them takes the store's newest ids, and no older id changes.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
+
+The vertex table is lean (Brace, Rudell and Bryant, DAC 1990).  A decision
+vertex is keyed by one int, (lo << 32 | hi) << R | rank, where R is
+len(order.vars).bit_length(): ids are capped at 32 bits, and allocating one
+past that raises ResourceLimitError, so two triples never share a key.  Kind
+codes are bytes; as a bytearray reads slower than a list, the hot walks tell
+a conjunction by its _kids entry.  No column holds a decision vertex's
+variable: its rank is its earliest rank, so the internal constructors and
+walks take ranks.  A decision vertex reuses the mask of the last one
+interned at its rank when the values are equal, as vertices at one rank
+often share their support.
 """
 
 from functools import wraps
@@ -48,6 +59,7 @@ from .errors import (
     DecompositionError,
     InputError,
     OrderViolationError,
+    ResourceLimitError,
 )
 from .store import INF
 
@@ -106,9 +118,11 @@ class DiagramStore:
     (dict variable -> position).  Vertices from different stores must never
     be mixed; nothing detects it.
 
-    The store is its vertices and their index: one list per vertex field,
-    indexed by vertex id; the unique tables _unique, (var, lo, hi) -> id,
-    and _uconj, children -> id, which make every vertex unique; and rank.
+    The store is its vertices and their index: one column per vertex field,
+    indexed by vertex id (kinds in a bytearray, the rest in lists; a
+    decision vertex's variable is order.vars[_minrank[u]]); the unique
+    tables _unique, the packed int key of (lo, hi, rank) -> id, and _uconj,
+    children -> id, which make every vertex unique; and rank.
     Canonicity makes these the only index needed.  Each unique table lists
     its keys in id order, as a vertex is interned after its children.
     Everything else is a computed table: those named in _MEMO_TABLES, which
@@ -122,13 +136,16 @@ class DiagramStore:
         self.rank = dict(order.rank)
         # rank sentinel for leaves: past every real variable
         self._leaf_rank = len(order.vars)
-        self._kind = [KIND_FALSE, KIND_TRUE]
-        self._var = [0, 0]
+        self._kind = bytearray((KIND_FALSE, KIND_TRUE))
         self._lo = [0, 0]
         self._hi = [0, 0]
         self._kids = [None, None]
         self._vs = [0, 0]
         self._minrank = [self._leaf_rank, self._leaf_rank]
+        # the rank field's width in a decision vertex's key, and per rank
+        # the mask of the last decision vertex interned there, to share
+        self._rbits = self._leaf_rank.bit_length()
+        self._masks = [0] * self._leaf_rank
         self._unique = {}
         self._uconj = {}
         # vertices interned and then dropped by operations
@@ -136,7 +153,7 @@ class DiagramStore:
         # an operation's computed tables, None between operations:
         # conjoin and disjoin map (u, v), u < v, to their result; the merge
         # maps a triple of factors to their AND; the literal peel maps
-        # (x, b) to {u: u with x fixed to b}
+        # (rank, b) to {u: u with that variable fixed to b}
         self._memo_and = self._memo_or = None
         self._memo_merge = self._memo_restrict = None
         self.clear_memo()
@@ -152,20 +169,28 @@ class DiagramStore:
         if r >= self._minrank[lo] or r >= self._minrank[hi]:
             raise OrderViolationError(
                 f"variable {var} does not precede both branches")
+        return self._node(r, lo, hi)
+
+    def _node(self, x, lo, hi):
+        # the reduced decision vertex on rank x, which precedes both branches
         if lo == hi:
             return lo
-        key = (var, lo, hi)
+        key = (lo << 32 | hi) << self._rbits | x
         u = self._unique.get(key)
         if u is not None:
             return u
         u = len(self._kind)
+        if u >> 32:
+            raise ResourceLimitError("a store holds at most 2**32 vertices")
         self._kind.append(KIND_DECISION)
-        self._var.append(var)
         self._lo.append(lo)
         self._hi.append(hi)
         self._kids.append(None)
-        self._vs.append(self._vs[lo] | self._vs[hi] | (1 << r))
-        self._minrank.append(r)
+        vs = self._vs[lo] | self._vs[hi] | 1 << x
+        if self._masks[x] != vs:
+            self._masks[x] = vs
+        self._vs.append(self._masks[x])
+        self._minrank.append(x)
         self._unique[key] = u
         return u
 
@@ -211,8 +236,9 @@ class DiagramStore:
                 raise DecompositionError("conjunction children share variables")
             union |= vs[c]
         u = len(self._kind)
+        if u >> 32:
+            raise ResourceLimitError("a store holds at most 2**32 vertices")
         self._kind.append(KIND_CONJ)
-        self._var.append(0)
         self._lo.append(0)
         self._hi.append(0)
         self._kids.append(key)
@@ -238,9 +264,11 @@ class DiagramStore:
         return self._kind[u] == KIND_CONJ
 
     def var_of(self, u):
+        """The variable a decision vertex branches on: no column holds it,
+        as it is the variable at the vertex's earliest rank."""
         if self._kind[u] != KIND_DECISION:
             raise InputError(f"vertex {u} is not a decision vertex")
-        return self._var[u]
+        return self.order.vars[self._minrank[u]]
 
     def lo(self, u):
         if self._kind[u] != KIND_DECISION:
@@ -275,9 +303,7 @@ class DiagramStore:
         return len(self._kind) + self._dropped
 
     def _parts(self, u):
-        if self._kind[u] == KIND_CONJ:
-            return self._kids[u]
-        return (u,)
+        return self._kids[u] or (u,)
 
     # ------------------------------------------------------------------
     # traversal and measurement
@@ -325,6 +351,7 @@ class DiagramStore:
         Raises InputError naming a variable the walk needs and the
         assignment misses.
         """
+        names = self.order.vars
         stack = [u]
         while stack:
             u = stack.pop()
@@ -332,7 +359,7 @@ class DiagramStore:
             if k == KIND_FALSE:
                 return False
             if k == KIND_DECISION:
-                x = self._var[u]
+                x = names[self._minrank[u]]
                 try:
                     value = assignment[x]
                 except KeyError:
@@ -419,17 +446,20 @@ class DiagramStore:
                     break
                 if live[w - n0]:
                     keep.append((w, key, table is self._uconj))
-        for column in (kind, self._var, lo, hi, kids, self._vs, self._minrank):
+        for column in (kind, lo, hi, kids, self._vs, self._minrank):
             del column[first:]
         self._dropped += end - first - len(keep)
         keep.sort()
         new = {}
+        rbits = self._rbits
         for w, key, conj in keep:
             if conj:
                 new[w] = self._intern_conj([new.get(c, c) for c in key])
             else:
-                x, l, h = key
-                new[w] = self.make_decision(x, new.get(l, l), new.get(h, h))
+                l = key >> rbits + 32
+                h = key >> rbits & 0xFFFFFFFF
+                new[w] = self._node(key & (1 << rbits) - 1, new.get(l, l),
+                                    new.get(h, h))
         return new.get(r, r)
 
     # ------------------------------------------------------------------
@@ -437,10 +467,10 @@ class DiagramStore:
     #
     # Contract for everything below: `i` is an int >= 0 or float('inf'),
     # child arguments are already canonical at bound i, and results are
-    # canonical at bound i.
+    # canonical at bound i.  A variable is given by its rank.
 
-    def _decision(self, var, lo, hi, i, pending=False):
-        """Canonical vertex for (var ? hi : lo) given canonical branches.
+    def _decision(self, x, lo, hi, i, pending=False):
+        """Canonical vertex for (x ? hi : lo) given canonical branches.
 
         The rules apply in order: reduction, literal extraction, then
         extraction of the factors shared by both branches.  With pending
@@ -452,21 +482,22 @@ class DiagramStore:
             return lo
         if i == 0:
             # bound 0 has no conjunctions, so nothing is pending
-            return self.make_decision(var, lo, hi)
+            return self._node(x, lo, hi)
         if lo == FALSE or hi == FALSE:
             # the vertex is a literal AND the other branch
             rest = hi if lo == FALSE else lo
             if rest == TRUE or not pending:
-                lead = self.literal(var, lo == FALSE)
+                lead = (self._node(x, FALSE, TRUE) if lo == FALSE
+                        else self._node(x, TRUE, FALSE))
                 return (lead if rest == TRUE
                         else self._intern_conj([lead, *self._parts(rest)]))
             f, m, v = self._pend(rest, True)
-            bit = 1 << self.rank[var]
+            bit = 1 << x
             return f, m | bit, v | bit if lo == FALSE else v
         if (lo.__class__ is not tuple and hi.__class__ is not tuple
-                and self._kind[lo] != KIND_CONJ and self._kind[hi] != KIND_CONJ):
+                and self._kids[lo] is None and self._kids[hi] is None):
             # two distinct single factors share none
-            return self.make_decision(var, lo, hi)
+            return self._node(x, lo, hi)
         # factors common to both branches come out of the decision, a
         # branch that is itself a factor of the other included:
         # <x, p, p AND R>  =  p AND <x, true, R>; pending branches share the
@@ -492,13 +523,13 @@ class DiagramStore:
             # no rule applies, so the vertex keeps its branches
             if pending:
                 lo, hi = self._kept(lo), self._kept(hi)
-            return self.make_decision(var, lo, hi)
+            return self._node(x, lo, hi)
         # the residues share no factor, or only the big one moved back
         # into them, so no rule applies to their decision vertex
-        lead = self.make_decision(
-            var, self._kept(([c for c in fl if c not in shared], ml ^ sm, vl)),
+        lead = self._node(
+            x, self._kept(([c for c in fl if c not in shared], ml ^ sm, vl)),
             self._kept(([c for c in fh if c not in shared], mh ^ sm, vh)))
-        # var precedes every factor of both branches, so the decision vertex
+        # x precedes every factor of both branches, so the decision vertex
         # on it comes first; at most one factor exceeds the bound, as lead
         # fits it whenever a big shared factor is kept, so none are merged
         r = (lead, *[c for c in fl if c in shared]), sm, vl & sm
@@ -510,12 +541,19 @@ class DiagramStore:
             return r
         kids = [*r[0]]
         mask = r[1]
+        unique = self._unique
+        # a literal's key as _node packs it, branches FALSE, TRUE or TRUE,
+        # FALSE; most are interned, so a lookup skips _node's call
+        pos = 1 << self._rbits
+        neg = pos << 32
         while mask:
             low = mask & -mask
             mask ^= low
-            x = self.order.vars[low.bit_length() - 1]
-            key = (x, FALSE, TRUE) if r[2] & low else (x, TRUE, FALSE)
-            kids.append(self._unique.get(key) or self.make_decision(*key))
+            x = low.bit_length() - 1
+            if r[2] & low:
+                kids.append(unique.get(pos | x) or self._node(x, FALSE, TRUE))
+            else:
+                kids.append(unique.get(neg | x) or self._node(x, TRUE, FALSE))
         if len(kids) > 1:
             return self._intern_conj(kids)
         return kids[0] if kids else TRUE
@@ -541,12 +579,12 @@ class DiagramStore:
         return self._cube(kids) if kids else r
 
     def _peel(self, key):
-        """(x, value, rest) for a triple led by the literal on x."""
+        """(x, value, rest) for a triple led by the literal on rank x."""
         factors, mask, values = key
         low = mask & -mask
         if not low or factors and low.bit_length() > self._minrank[factors[0]]:
             return None
-        return (self.order.vars[low.bit_length() - 1], values & low,
+        return (low.bit_length() - 1, values & low,
                 (factors, mask ^ low, values & ~low))
 
     def _conj_parts(self, parts, i, pending=False):
@@ -561,14 +599,14 @@ class DiagramStore:
         """
         flat = []
         mask = values = 0
-        kind = self._kind
+        kids = self._kids
         for p in parts:
             if p.__class__ is tuple:
                 flat.extend(p[0])
                 mask |= p[1]
                 values |= p[2]
-            elif kind[p] == KIND_CONJ:
-                flat.extend(self._kids[p])
+            elif kids[p]:
+                flat.extend(kids[p])
             elif p > TRUE:
                 flat.append(p)
             elif p == FALSE:
@@ -632,8 +670,8 @@ class DiagramStore:
                 if len(sub[0]) + sub[1].bit_count() >= lone:
                     yield sub
                 r = memo[sub] if sub in memo else self._kept(sub)
-                memo[key] = (self.make_decision(x, FALSE, r) if value
-                             else self.make_decision(x, r, FALSE))
+                memo[key] = (self._node(x, FALSE, r) if value
+                             else self._node(x, r, FALSE))
                 return
             first, rest = key[0][0], key[0][1:]
             halves = []
@@ -661,8 +699,8 @@ class DiagramStore:
                 smalls.append(memo[sub] if sub in memo else self._kept(sub))
                 halves.append(self._conj_parts(smalls, i) if smalls[1:]
                               else smalls[0])
-            memo[key] = self._decision(self._var[first], halves[0],
-                                       halves[1], i)
+            memo[key] = self._decision(by_rank(first), halves[0], halves[1],
+                                       i)
 
         return _walk(key, memo, step)
 
@@ -687,7 +725,7 @@ class DiagramStore:
                 k = memo[c]
             parts.append(k)
         if dec:
-            memo[u] = self._decision(self._var[u], parts[0], parts[1], i,
+            memo[u] = self._decision(self._minrank[u], parts[0], parts[1], i,
                                      pending)
         else:
             memo[u] = self._conj_parts(parts, i, pending)
@@ -708,7 +746,7 @@ class DiagramStore:
             if kids[w]:
                 memo[w] = self._conj_parts([memo[c] for c in kids[w]], i, True)
             elif w > TRUE:
-                memo[w] = self._decision(self._var[w], memo[self._lo[w]],
+                memo[w] = self._decision(self._minrank[w], memo[self._lo[w]],
                                          memo[self._hi[w]], i, True)
         return self._kept(memo[u])
 
@@ -739,29 +777,27 @@ class DiagramStore:
 
     def _cofactor_top(self, u, i):
         """Both cofactors of u on its earliest variable."""
-        if self._kind[u] == KIND_DECISION:
+        kids = self._kids[u]
+        if kids is None:
             return self._lo[u], self._hi[u]
-        c, *rest = self._kids[u]
+        c, *rest = kids
         return (self._conj_parts([self._lo[c], *rest], i),
                 self._conj_parts([self._hi[c], *rest], i))
 
     def _restrict1(self, u, x, b, i):
-        """u with variable x fixed to b, for the conjoin's literal peel.
-
-        x must be in the store's order (its rank picks the mask bit); it
-        need not occur in u.
-        """
-        xbit = 1 << self.rank[x]
+        """u with the variable of rank x fixed to b, for the conjoin's
+        literal peel; the variable need not occur in u."""
+        xbit = 1 << x
         if not self._vs[u] & xbit:
             return u
-        if self._var[u] == x and self._kind[u] == KIND_DECISION:
+        minrank = self._minrank
+        kind = self._kind
+        if minrank[u] == x and kind[u] == KIND_DECISION:
             return self._hi[u] if b else self._lo[u]
         cache = self._memo_restrict.setdefault((x, b), {})
         if u in cache:
             return cache[u]
         vs = self._vs
-        var = self._var
-        kind = self._kind
         pick = self._hi if b else self._lo
 
         def keep(c):
@@ -769,7 +805,7 @@ class DiagramStore:
             # by its branch rather than given a frame
             if not vs[c] & xbit:
                 return c
-            if var[c] == x and kind[c] == KIND_DECISION:
+            if minrank[c] == x and kind[c] == KIND_DECISION:
                 return pick[c]
             return None
 
@@ -803,9 +839,8 @@ class DiagramStore:
         """
         one = 1 - zero
         vs = self._vs
-        kind = self._kind
+        kids = self._kids
         minrank = self._minrank
-        names = self.order.vars
         cofactor = self._cofactor_top
         stack = []
         stage = -1  # no open frame
@@ -828,7 +863,7 @@ class DiagramStore:
                     # of more than one variable each, there is no literal
                     # factor or shared conjunct to take apart
                     if not (vs[u] & vs[v] and (i == 0 or (
-                            kind[u] == KIND_DECISION and kind[v] == KIND_DECISION
+                            kids[u] is None and kids[v] is None
                             and vs[u].bit_count() > 1 and vs[v].bit_count() > 1))):
                         r = split(u, v, i)
                     if r.__class__ is int:
@@ -841,10 +876,9 @@ class DiagramStore:
                             # expand on the earliest variable x of either
                             ru = minrank[u]
                             rv = minrank[v]
-                            top = ru if ru < rv else rv
-                            x = names[top]
-                            u, u1 = cofactor(u, i) if ru == top else (u, u)
-                            v, v1 = cofactor(v, i) if rv == top else (v, v)
+                            x = ru if ru < rv else rv
+                            u, u1 = cofactor(u, i) if ru == x else (u, u)
+                            v, v1 = cofactor(v, i) if rv == x else (v, v)
                             hi = (u1, v1)
                             stage = 0
                         else:
@@ -884,7 +918,8 @@ class DiagramStore:
         vs = self._vs
         if not vs[u] & vs[v]:
             return self._conj_parts([*self._parts(u), *self._parts(v)], i)
-        var = self._var
+        # a literal's rank is its earliest one
+        rank = self._minrank
         pu = self._parts(u)
         lits = {}
         lmask = 0
@@ -895,7 +930,7 @@ class DiagramStore:
                 rest_u.append(p)
             else:
                 # u's literals are its own factors, on distinct variables
-                lits[var[p]] = p
+                lits[rank[p]] = p
                 lmask |= pvs
         rest_v = []
         for p in self._parts(v):
@@ -904,7 +939,7 @@ class DiagramStore:
                 if p not in pu:
                     rest_v.append(p)
             # literals are hash-consed: another id is the other phase
-            elif lits.setdefault(var[p], p) != p:
+            elif lits.setdefault(rank[p], p) != p:
                 return FALSE
             else:
                 lmask |= pvs
@@ -970,7 +1005,6 @@ class DiagramStore:
         pending conjunction, a conjunction always as its triple, so one
         function is one key; only the result is interned.
         """
-        var = self._var
         lo = self._lo
         hi = self._hi
         vs = self._vs
@@ -992,7 +1026,7 @@ class DiagramStore:
         def frame(u):
             # the key with its variable and both cofactors on it
             if u.__class__ is not tuple:
-                return u, var[u], self._pend(lo[u]), self._pend(hi[u])
+                return u, by_rank(u), self._pend(lo[u]), self._pend(hi[u])
             peeled = u[1] and self._peel(u)
             if peeled:
                 x, value, rest = peeled
@@ -1000,7 +1034,7 @@ class DiagramStore:
                 return (u, x, FALSE, rest) if value else (u, x, rest, FALSE)
             c = u[0][0]
             rest = u[0][1:], u[1], u[2]
-            return u, var[c], cofactor(lo[c], rest), cofactor(hi[c], rest)
+            return u, by_rank(c), cofactor(lo[c], rest), cofactor(hi[c], rest)
 
         # every key has two cofactors, so a tuple frame on an explicit stack
         # does the work of a _walk step without its generator
@@ -1144,10 +1178,11 @@ class DiagramStore:
         # on its own: True for satisfiability, False for validity;
         # conjunction children are independent, so each must hold
         cache = {FALSE: False, TRUE: True}
+        names = self.order.vars
 
         def step(u):
             if self._kind[u] == KIND_DECISION:
-                x = self._var[u]
+                x = names[self._minrank[u]]
                 lo = self._lo[u]
                 hi = self._hi[u]
                 if x in assignment:  # only the assigned branch is left

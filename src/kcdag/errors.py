@@ -27,3 +27,7 @@ class SerializationError(KcdagError):
 
 class OracleLimitError(KcdagError):
     """A truth-table oracle was asked to enumerate too many variables."""
+
+
+class ResourceLimitError(KcdagError):
+    """A store would exceed a fixed limit, such as the number of vertex ids."""

@@ -62,7 +62,7 @@ def test_extract_part_respects_the_bound(store):
     # and the rule is applied to the branches directly
     part = xor_vertex(store, 2, 3)
     whole = store.make_conj([part, xor_vertex(store, 4, 5)])
-    u = store._decision(1, part, whole, 1)
+    u = store._decision(store.rank[1], part, whole, 1)
     assert store.is_decision(u)
     assert store.var_of(u) == 1
     at2 = decompose(store, store.make_decision(1, part, whole), 2)
@@ -187,7 +187,7 @@ def test_decision_modes_agree():
         for u in store.topological(root):
             if not store.is_decision(u):
                 continue
-            x = store.var_of(u)
+            x = store.rank[store.var_of(u)]
             for bound in (1, 2, 3, INF):
                 lo = decompose(store, store.lo(u), bound)
                 hi = decompose(store, store.hi(u), bound)

@@ -176,7 +176,7 @@ def _old_condition(store, u, asg, bound):
     # one operation of the store, whose tables the peel uses
     def peel(u):
         for x in sorted(asg, key=store.rank.__getitem__, reverse=True):
-            u = store._restrict1(u, x, asg[x], bound)
+            u = store._restrict1(u, store.rank[x], asg[x], bound)
         return u
     return store._run(peel, u)
 
@@ -197,8 +197,8 @@ def _old_negate(store, u, bound):
     def walk(u):
         if u not in memo:
             u0, u1 = store._cofactor_top(u, bound)
-            memo[u] = store._decision(store.order.vars[store._minrank[u]],
-                                      walk(u0), walk(u1), bound)
+            memo[u] = store._decision(store._minrank[u], walk(u0), walk(u1),
+                                      bound)
         return memo[u]
     return store._run(walk, u)
 

@@ -1,6 +1,7 @@
 """Vertex store: hash consing, reduction, structural accessors."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,13 +14,19 @@ from kcdag.engine import (
     KIND_FALSE,
     KIND_TRUE,
 )
-from kcdag.cnf import CNF, oracle_count
+from kcdag.cnf import CNF, iter_assignments, oracle_count, oracle_eval
 from kcdag.compiler import clause_diagram, compile_cnf
 from kcdag.diagram_io import serialize
-from kcdag.errors import DecompositionError, InputError, OrderViolationError
-from kcdag.families import random_cnf
+from kcdag.errors import (
+    DecompositionError,
+    InputError,
+    OrderViolationError,
+    ResourceLimitError,
+)
+from kcdag.families import chain_family, random_cnf
 from kcdag.ordering import VariableOrder, natural_order
 from kcdag.store import INF
+from kcdag.validate import validate
 
 
 @pytest.fixture
@@ -332,3 +339,74 @@ def test_an_operation_that_raises_drops_what_it_interned():
     assert len(store._kind) == n0 and store._memo_and is None
     w = store.conjoin(u, v, 1)
     assert set(range(n0, len(store._kind))) <= set(store.topological(w))
+
+
+def test_new_vertices_retain_few_bytes():
+    # converting the 15 interleaved parity pairs from bound 1 to 0 interns
+    # 98,299 decision vertices; each keeps its packed key, a byte of kind
+    # and a slot per column, and most share their mask with a neighbour.
+    # With a tuple key and a mask per vertex each retained about 236 bytes
+    cnf = chain_family(15, 0)
+    store, u = compile_cnf(cnf, 1, order=natural_order(30))
+    n0 = len(store._kind)
+    tracemalloc.start()
+    try:
+        r = store.convert_down(u, 0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    new = len(store._kind) - n0
+    assert new == 98299
+    assert kept / new <= 175, kept / new
+    assert r == compile_cnf(cnf, 0, store=store)[1]
+
+
+def test_wide_order_keys_keep_ranks_apart():
+    # 70,000 variables need a 17-bit rank field in a decision vertex's key;
+    # an 8-variable formula renamed into ranks from 65,536 on compiles to
+    # the small formula's function, and the compile drops vertices, so
+    # _settle decodes keys at those ranks too
+    n = 70000
+    store = DiagramStore(natural_order(n))
+    small = random_cnf(8, 20, seed=2)
+    wide = {x: 65537 + 400 * (x - 1) for x in range(1, 9)}
+    cnf = CNF(n)
+    for cl in small.clauses:
+        cnf.add_clause([wide[l.var] if l.positive else -wide[l.var] for l in cl])
+    scope = sorted(wide.values())
+    for bound in (0, 1, INF):
+        u = compile_cnf(cnf, bound, store=store)[1]
+        assert store.model_count(u) << len(scope) - len(store.vars_of(u)) \
+            == oracle_count(small)
+        assert validate(store, u, bound).ok
+        for a in iter_assignments(range(1, 9)):
+            assert store.evaluate(u, {wide[x]: b for x, b in a.items()}) \
+                == oracle_eval(small, a)
+    assert store.num_vertices > len(store._kind)
+
+    # triples that differ in one field only, ranks 2**16 apart included
+    a, b, c = store.literal(69001), store.literal(69002), store.literal(69003, False)
+    base = store.make_decision(4, a, b)
+    others = [store.make_decision(4 + 2 ** 16, a, b), store.make_decision(4, c, b),
+              store.make_decision(4, a, c)]
+    assert len({base, *others}) == 4
+    for w, (x, lo, hi) in zip([base, *others], [(4, a, b), (4 + 2 ** 16, a, b),
+                                                (4, c, b), (4, a, c)]):
+        assert (store.var_of(w), store.lo(w), store.hi(w)) == (x, lo, hi)
+        assert store.make_decision(x, lo, hi) == w
+
+
+def test_ids_past_32_bits_raise(store):
+    # a decision vertex's key holds each child id in 32 bits, so no id past
+    # them is handed out, for either kind of vertex
+    class Full(bytearray):
+        def __len__(self):
+            return 2 ** 32
+
+    a, b = store.literal(1), store.literal(2)
+    store._kind = Full(store._kind)
+    with pytest.raises(ResourceLimitError):
+        store.make_decision(3, FALSE, TRUE)
+    with pytest.raises(ResourceLimitError):
+        store.make_conj([a, b])
+    assert store.literal(1) == a  # an interned vertex is still found
