@@ -18,7 +18,8 @@ def convert_down(store: DiagramStore, u: int, bound: Bound) -> int:
     Factors small enough for the target bound are reused as-is; the
     oversized ones are merged top-down straight from their source form, so
     the conversion interns little beyond the vertices of its result.  The
-    merge's keys live for the call; the store keeps only the result.
+    merge's keys, one int each, live for the call; the store keeps only the
+    result.
     """
     return store.convert_down(u, parse_bound(bound))
 

@@ -19,7 +19,8 @@ def decompose(store: DiagramStore, u: int, bound: Bound) -> int:
     conjunction pending: its literals as a rank mask and a value mask, its
     other factors as a tuple.  A conjunction vertex, and a literal in it, is
     interned only when it is kept: as the result, or as a branch of a
-    decision vertex the pass builds.  The pass keeps nothing after it
+    decision vertex the pass builds.  A vertex's rebuilt form is dropped
+    once its last parent has read it, and the pass keeps nothing after it
     returns, so a repeated call rebuilds u again.
     """
     return store.decompose(u, parse_bound(bound))

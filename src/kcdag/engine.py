@@ -36,7 +36,13 @@ Its computed tables, which hold results so that a repeated pair returns at
 once, live for that operation alone.  When it ends, every vertex it interned
 that its result does not reach is dropped, so an operation leaves only its
 result's vertices.  Ids are dense and a child's id is below its parent's, so
-dropping them takes the store's newest ids, and no older id changes.
+dropping them takes the store's newest ids, and no older id changes.  While
+it runs, an entry costs about a word where it can, as in BDD packages'
+computed tables (Brace, Rudell and Bryant, DAC 1990): _merge_bigs, the merge
+that convert_down and the conjoin share, keys its table by one int per key,
+the key's name (see _name), not by the triple; and decompose, which rebuilds
+every vertex of its input, drops a vertex's rebuilt form as soon as the last
+of its parents has read it.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
@@ -109,6 +115,27 @@ def _walk(root, memo, step):
             elif key not in memo:
                 frames.append(step(key))
     return memo[root]
+
+
+def _name(factors, mask, values):
+    """The int that names a merge key (factors, mask, values).
+
+    Lowest bits first: the rank mask's width w in 32 bits, the rank mask and
+    the value mask in w bits each, then the factor ids in 32-bit fields,
+    the first factor lowest.  Ids are below 2**32 and at least 2, so the
+    number of fields follows from the bit length and two keys share a name
+    only when they are equal.  A key with no literals costs no mask width.
+    """
+    if len(factors) == 1:
+        n = factors[0]
+    else:
+        n = 0
+        for p in reversed(factors):
+            n = n << 32 | p
+    if not mask:
+        return n << 32
+    w = mask.bit_length()
+    return ((n << w | values) << w | mask) << 32 | w
 
 
 class DiagramStore:
@@ -310,25 +337,27 @@ class DiagramStore:
 
     def topological(self, root):
         """Reachable vertices, children before parents, root last."""
+        kind = self._kind
         seen = set()
         out = []
-        stack = [(root, False)]
+        # an expanded vertex goes back on the stack under a None, which is
+        # popped once its children are placed: the stack holds the ids the
+        # columns hold, and placing one allocates nothing
+        stack = [root]
         while stack:
-            u, done = stack.pop()
-            if done:
-                out.append(u)
-                continue
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.append((u, True))
-            k = self._kind[u]
-            if k == KIND_DECISION:
-                stack.append((self._hi[u], False))
-                stack.append((self._lo[u], False))
-            elif k == KIND_CONJ:
-                for c in reversed(self._kids[u]):
-                    stack.append((c, False))
+            u = stack.pop()
+            if u is None:
+                out.append(stack.pop())
+            elif u not in seen:
+                seen.add(u)
+                stack.append(u)
+                stack.append(None)
+                k = kind[u]
+                if k == KIND_DECISION:
+                    stack.append(self._hi[u])
+                    stack.append(self._lo[u])
+                elif k == KIND_CONJ:
+                    stack.extend(reversed(self._kids[u]))
         return out
 
     def vertex_count(self, root):
@@ -647,9 +676,16 @@ class DiagramStore:
         is canonical as it is; 1 for factors canonical only at a larger
         bound (convert_down).  A key maps to one vertex in either mode, so
         both keep their keys in the operation's _memo_merge.
+
+        _memo_merge is keyed by a key's name (see _name), one int about as
+        wide as the key's own masks.  A key's triple lives from its naming
+        until its frame expands it, and a frame waiting for a cofactor's
+        key holds only that key's name.  A key's leading literals peel off
+        in its own frame, each rest named from the name before it.
         """
         memo = self._memo_merge
-        r = memo.get(key)
+        root = _name(*key)
+        r = memo.get(root)
         if r is not None:
             return r
         vs = self._vs
@@ -661,48 +697,78 @@ class DiagramStore:
             if union & vs[p]:
                 raise DecompositionError("factors to merge share variables")
             union |= vs[p]
+        # the triple of each named key whose frame has not yet expanded it
+        todo = {root: key}
+        del key
 
-        def step(key):
-            peeled = key[1] and self._peel(key)
-            if peeled:
-                # a leading literal: <x, false, rest> or <x, rest, false>
-                x, value, sub = peeled
-                if len(sub[0]) + sub[1].bit_count() >= lone:
-                    yield sub
-                r = memo[sub] if sub in memo else self._kept(sub)
-                memo[key] = (self._node(x, FALSE, r) if value
-                             else self._node(x, r, FALSE))
-                return
-            first, rest = key[0][0], key[0][1:]
-            halves = []
-            for half in (lo[first], self._hi[first]):
-                if half == FALSE:
-                    halves.append(FALSE)
-                    continue
-                # a cofactor's oversized factors need a merge of their own
-                smalls = []
-                big = []
-                m, v = key[1:]
-                for p in self._kids[half] or (half,):
-                    pvs = vs[p]
-                    if pvs.bit_count() <= i:
-                        smalls.append(p)
-                    elif pvs & (pvs - 1):
-                        big.append(p)
+        def step(n):
+            factors, m, v = todo.pop(n)
+            # leading literals peel off in this frame, each <x, false, rest>
+            # or <x, rest, false>, with rest named by n less the literal's
+            # bits; peeled lists (name, x, value) from the outermost on
+            peeled = []
+            r = None
+            low = m & -m
+            while low and (not factors
+                           or low.bit_length() <= by_rank(factors[0])):
+                value = v & low
+                m ^= low
+                v ^= value
+                peeled.append((n, low.bit_length() - 1, value != 0))
+                if len(factors) + m.bit_count() < lone:
+                    r = self._kept((factors, m, v))
+                    break
+                w = n & 0xFFFFFFFF
+                n = (n ^ (low | value << w) << 32 if m
+                     else n >> 32 + 2 * w << 32)
+                r = memo.get(n)
+                if r is not None:
+                    break
+                low = m & -m
+            if r is None:
+                # the key left branches on its first factor's variable
+                first = factors[0]
+                rest = factors[1:]
+                halves = []
+                for half in (lo[first], self._hi[first]):
+                    if half == FALSE:
+                        halves.append(FALSE)
+                        continue
+                    # a cofactor's oversized factors need a merge of their
+                    # own
+                    smalls = []
+                    big = []
+                    hm = m
+                    hv = v
+                    for p in self._kids[half] or (half,):
+                        pvs = vs[p]
+                        if pvs.bit_count() <= i:
+                            smalls.append(p)
+                        elif pvs & (pvs - 1):
+                            big.append(p)
+                        else:
+                            hm |= pvs
+                            hv |= pvs if lo[p] == FALSE else 0
+                    hf = (tuple(sorted(rest + tuple(big), key=by_rank))
+                          if rest and big else rest + tuple(big))
+                    if len(hf) + hm.bit_count() < lone:
+                        smalls.append(self._kept((hf, hm, hv)))
                     else:
-                        m |= pvs
-                        v |= pvs if lo[p] == FALSE else 0
-                sub = (tuple(sorted(rest + tuple(big), key=by_rank))
-                       if rest and big else rest + tuple(big), m, v)
-                if len(sub[0]) + m.bit_count() >= lone:
-                    yield sub
-                smalls.append(memo[sub] if sub in memo else self._kept(sub))
-                halves.append(self._conj_parts(smalls, i) if smalls[1:]
-                              else smalls[0])
-            memo[key] = self._decision(by_rank(first), halves[0], halves[1],
-                                       i)
+                        s = _name(hf, hm, hv)
+                        if s not in memo:
+                            todo[s] = hf, hm, hv
+                            del hf, hm, hv
+                            yield s
+                        smalls.append(memo[s])
+                    halves.append(self._conj_parts(smalls, i) if smalls[1:]
+                                  else smalls[0])
+                r = memo[n] = self._decision(by_rank(first), halves[0],
+                                             halves[1], i)
+            for n, x, value in reversed(peeled):
+                r = memo[n] = (self._node(x, FALSE, r) if value
+                               else self._node(x, r, FALSE))
 
-        return _walk(key, memo, step)
+        return _walk(root, memo, step)
 
     # ------------------------------------------------------------------
     # canonicalization of raw diagrams
@@ -736,18 +802,54 @@ class DiagramStore:
 
         Every vertex below u is rebuilt, children first, and only what is
         kept is interned: a conjunction stays pending until it is the result
-        or a branch of a decision vertex built.  The pass keeps nothing else.
+        or a branch of a decision vertex built.  The depth-first search that
+        orders the vertices counts each one's parents, and a vertex's
+        rebuilt form is dropped once its last parent has read it, so the
+        pass holds the forms of a frontier of the diagram, not of all of it.
         """
         # every conjunction in the pass is pending, so _decision never meets
         # one as a vertex and as pending; a loop needs no frame per vertex
         kids = self._kids
-        memo = {FALSE: FALSE, TRUE: TRUE}
-        for w in self.topological(u):
+        lo = self._lo
+        hi = self._hi
+        # the search of topological; refs[w] counts how often it met w,
+        # once per parent (u once)
+        refs = {}
+        order = []
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            if w is None:
+                order.append(stack.pop())
+                continue
+            n = refs.get(w)
+            if n is not None:
+                refs[w] = n + 1
+                continue
+            refs[w] = 1
+            stack.append(w)
+            stack.append(None)
             if kids[w]:
-                memo[w] = self._conj_parts([memo[c] for c in kids[w]], i, True)
+                stack.extend(reversed(kids[w]))
             elif w > TRUE:
-                memo[w] = self._decision(self._minrank[w], memo[self._lo[w]],
-                                         memo[self._hi[w]], i, True)
+                stack.append(hi[w])
+                stack.append(lo[w])
+        minrank = self._minrank
+        memo = {FALSE: FALSE, TRUE: TRUE}
+        for w in order:
+            if w <= TRUE:
+                continue
+            # each child's form, dropped as its last parent reads it
+            parts = []
+            for c in kids[w] or (lo[w], hi[w]):
+                n = refs[c] - 1
+                if n:
+                    refs[c] = n
+                    parts.append(memo[c])
+                else:
+                    parts.append(memo.pop(c))
+            memo[w] = (self._conj_parts(parts, i, True) if kids[w] else
+                       self._decision(minrank[w], parts[0], parts[1], i, True))
         return self._kept(memo[u])
 
     @_operation

@@ -9,6 +9,7 @@ from kcdag import FALSE, TRUE
 from kcdag.engine import (
     _MEMO_TABLES,
     DiagramStore,
+    _name,
     KIND_CONJ,
     KIND_DECISION,
     KIND_FALSE,
@@ -352,13 +353,56 @@ def test_new_vertices_retain_few_bytes():
     tracemalloc.start()
     try:
         r = store.convert_down(u, 0)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     new = len(store._kind) - n0
     assert new == 98299
     assert kept / new <= 175, kept / new
+    # while it runs, the merge holds one int per key, its name, where a
+    # triple of a tuple and two masks per key took about 195 bytes a vertex
+    assert (peak - kept) / new <= 130, (peak - kept) / new
     assert r == compile_cnf(cnf, 0, store=store)[1]
+
+    # decomposing the result back drops each vertex's rebuilt form once its
+    # last parent has read it; holding all 98,303 took about 205 bytes each
+    size = store.vertex_count(r)
+    tracemalloc.start()
+    try:
+        back = store.decompose(r, INF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / size <= 170, peak / size
+    assert back == compile_cnf(cnf, INF, store=store)[1]
+
+
+def test_merge_key_names():
+    # a merge key's name is injective over triples whose value mask lies in
+    # the rank mask, ids at least 2: every such triple of up to two factors
+    # and three literal ranks gets a name of its own
+    triples = []
+    for factors in ((), (2,), (3,), (2, 3), (3, 2), (7, 2)):
+        for mask in range(8):
+            for values in range(8):
+                if values & ~mask == 0:
+                    triples.append((factors, mask, values))
+    names = [_name(*t) for t in triples]
+    assert len(set(names)) == len(triples)
+    # a cube whose value bits run on where another key's factor field
+    # begins: above the width field the bits line up, and the width keeps
+    # the names apart
+    cube, factored = ((), 0b11, 0b10), ((2,), 0b1, 0b1)
+    assert _name(*cube) >> 32 == _name(*factored) >> 32
+    assert _name(*cube) != _name(*factored)
+    # a name is built from the triple's values alone, so equal triples
+    # share it: lowest first the width, the masks, the factors' fields; a
+    # key without literals has an empty width
+    wide = 1 << 70000 | 1 << 65537
+    w = wide.bit_length()
+    assert _name((5, 9), wide, 1 << 65537) \
+        == (((9 << 32 | 5) << w | 1 << 65537) << w | wide) << 32 | w
+    assert _name((5, 9), 0, 0) == (9 << 32 | 5) << 32
 
 
 def test_wide_order_keys_keep_ranks_apart():
@@ -374,8 +418,9 @@ def test_wide_order_keys_keep_ranks_apart():
     for cl in small.clauses:
         cnf.add_clause([wide[l.var] if l.positive else -wide[l.var] for l in cl])
     scope = sorted(wide.values())
+    roots = {}
     for bound in (0, 1, INF):
-        u = compile_cnf(cnf, bound, store=store)[1]
+        u = roots[bound] = compile_cnf(cnf, bound, store=store)[1]
         assert store.model_count(u) << len(scope) - len(store.vars_of(u)) \
             == oracle_count(small)
         assert validate(store, u, bound).ok
@@ -383,6 +428,10 @@ def test_wide_order_keys_keep_ranks_apart():
             assert store.evaluate(u, {wide[x]: b for x, b in a.items()}) \
                 == oracle_eval(small, a)
     assert store.num_vertices > len(store._kind)
+    # the conversions name merge keys by masks over those ranks
+    assert store.convert_down(roots[INF], 1) == roots[1]
+    assert store.convert_down(roots[1], 0) == roots[0]
+    assert store.decompose(roots[0], INF) == roots[INF]
 
     # triples that differ in one field only, ranks 2**16 apart included
     a, b, c = store.literal(69001), store.literal(69002), store.literal(69003, False)
