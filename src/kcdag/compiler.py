@@ -55,7 +55,7 @@ def compile_cnf(cnf: CNF, bound: Bound, order: VariableOrder | None = None,
     "ordered" is a left fold over the same sorted list, so the top of the
     order gets constrained first.  Tautological and repeated clauses are
     dropped.  The compile is one operation of the store: its conjoins share
-    their computed tables, and of the vertices it interns only the root's
+    its one computed table, and of the vertices it interns only the root's
     stay.
     """
     i = parse_bound(bound)

@@ -32,17 +32,19 @@ returns a conjunction result as pending; the apply and _merge_bigs leave it
 clear.
 
 Every public transformation is one operation of its store (DiagramStore._run).
-Its computed tables, which hold results so that a repeated pair returns at
-once, live for that operation alone.  When it ends, every vertex it interned
-that its result does not reach is dropped, so an operation leaves only its
-result's vertices.  Ids are dense and a child's id is below its parent's, so
-dropping them takes the store's newest ids, and no older id changes.  While
-it runs, an entry costs about a word where it can, as in BDD packages'
-computed tables (Brace, Rudell and Bryant, DAC 1990): _merge_bigs, the merge
-that convert_down and the conjoin share, keys its table by one int per key,
-the key's name (see _name), not by the triple; and decompose, which rebuilds
-every vertex of its input, drops a vertex's rebuilt form as soon as the last
-of its parents has read it.
+It keeps one computed table, which holds results so that a repeated key
+returns at once, for that operation alone: as in the single computed table
+of BDD packages (Brace, Rudell and Bryant, DAC 1990), the apply, the merge
+that convert_down and the conjoin share (_merge_bigs) and the conjoin's
+literal peel (_restrict1) each key it by ints, every kind apart from the
+others by construction (see DiagramStore.__init__).  When it ends, every
+vertex it interned that its result does not reach is dropped, so an
+operation leaves only its result's vertices.  Ids are dense and a child's
+id is below its parent's, so dropping them takes the store's newest ids,
+and no older id changes.  While it runs, an entry costs about a word where
+it can: the merge keys an entry by its key's name (see _name), not by the
+triple; and decompose, which rebuilds every vertex of its input, drops a
+vertex's rebuilt form as soon as the last of its parents has read it.
 
 Every walk keeps its frames on an explicit stack, so no operation depends on
 Python's recursion limit, however deep the diagram.
@@ -76,15 +78,6 @@ KIND_FALSE = 0
 KIND_TRUE = 1
 KIND_DECISION = 2
 KIND_CONJ = 3
-
-# the computed tables that outlive an operation: clear_memo empties them at
-# any time, as nothing else refers to their entries and every result is
-# refilled on demand.  model_count runs between operations only, so no entry
-# names an id that an operation drops or reuses.  The tables of an
-# operation (see DiagramStore._run) are flat: it works at one bound.
-_MEMO_TABLES = (
-    "_memo_count",      # model_count: u -> its model count
-)
 
 
 def _operation(method):
@@ -152,13 +145,15 @@ class DiagramStore:
     children -> id, which make every vertex unique; and rank.
     Canonicity makes these the only index needed.  Each unique table lists
     its keys in id order, as a vertex is interned after its children.
-    Everything else is a computed table: those named in _MEMO_TABLES, which
-    clear_memo may drop at any time without changing any later result or
-    vertex id, and an operation's own, which live for the operation.  Of
-    the vertices an operation interns, only those its result reaches stay.
+    Everything else is a computed table: _memo_count, which clear_memo may
+    drop at any time without changing any later result or vertex id, and
+    _memo, an operation's one table, which lives for the operation.  Of the
+    vertices an operation interns, only those its result reaches stay.
     """
 
     def __init__(self, order):
+        if len(order.vars) >> 31:
+            raise ResourceLimitError("an order holds fewer than 2**31 variables")
         self.order = order
         self.rank = dict(order.rank)
         # rank sentinel for leaves: past every real variable
@@ -177,12 +172,17 @@ class DiagramStore:
         self._uconj = {}
         # vertices interned and then dropped by operations
         self._dropped = 0
-        # an operation's computed tables, None between operations:
-        # conjoin and disjoin map (u, v), u < v, to their result; the merge
-        # maps a triple of factors to their AND; the literal peel maps
-        # (rank, b) to {u: u with that variable fixed to b}
-        self._memo_and = self._memo_or = None
-        self._memo_merge = self._memo_restrict = None
+        # the operation's one computed table, None between operations.  Its
+        # keys are ints of three kinds, apart by construction, as ids are
+        # below 2**32 and ranks below 2**31:
+        # - a conjoin (zero 0) or disjoin (zero 1) pair u < v, both ids at
+        #   least 2, is (u << 32 | v) << 32 | 2**32 - 1 - zero, at least
+        #   2**64, with 2**32 - 1 or 2**32 - 2 in its low 32 bits;
+        # - a merge key is its name (see _name), at least 2**32, whose low
+        #   32 bits hold a mask width, at most len(order.vars) < 2**31;
+        # - the literal peel's cache for rank x fixed to b, which maps u to
+        #   u restricted, sits under x << 1 | b, below 2**32
+        self._memo = None
         self.clear_memo()
 
     # ------------------------------------------------------------------
@@ -399,31 +399,31 @@ class DiagramStore:
         return True
 
     def clear_memo(self):
-        """Empty every computed table that outlives an operation; vertices
-        and their ids are kept.  An operation's own tables are gone when it
-        ends."""
-        for name in _MEMO_TABLES:
-            setattr(self, name, {})
-        self._memo_count.update({FALSE: 0, TRUE: 1})
+        """Empty _memo_count, model_count's table, the one computed table
+        that outlives an operation; vertices and their ids are kept.
+
+        Nothing else refers to its entries and every count is refilled on
+        demand.  model_count runs between operations only, so no entry names
+        an id that an operation drops or reuses.  An operation's own table
+        is gone when it ends.
+        """
+        self._memo_count = {FALSE: 0, TRUE: 1}
 
     # ------------------------------------------------------------------
-    # operations: computed tables for one call, and only its result kept
+    # operations: a computed table for one call, and only its result kept
 
     def _run(self, build, *args):
         """build(*args), a vertex, run as one operation of this store.
 
-        The operation's computed tables live for it alone.  When it ends,
-        or raises, the vertices it interned that its result does not reach
-        are dropped (see _settle), so ids below the store's size at its
-        start never change.  An operation run inside another is part of it.
+        The operation's computed table, _memo, lives for it alone.  When it
+        ends, or raises, the vertices it interned that its result does not
+        reach are dropped (see _settle), so ids below the store's size at
+        its start never change.  An operation run inside another is part of it.
         """
-        if self._memo_and is not None:
+        if self._memo is not None:
             return build(*args)
         n0 = len(self._kind)
-        self._memo_and = {}
-        self._memo_or = {}
-        self._memo_merge = {}
-        self._memo_restrict = {}
+        self._memo = {}
         try:
             r = build(*args)
         except BaseException:
@@ -435,15 +435,14 @@ class DiagramStore:
         """End the operation begun at store size n0 with result r (None for
         no result) and return r's id after it.
 
-        The operation's tables go.  Of the vertices from n0 on, the dead
+        The operation's table goes.  Of the vertices from n0 on, the dead
         ones, those r does not reach, are dropped: from the first dead id
         on, the unique tables' keys are popped (they are the last ones
         inserted), the columns are truncated, and the live vertices are
         interned again, children first.  Only those live vertices, r among
         them, may get new ids.
         """
-        self._memo_and = self._memo_or = None
-        self._memo_merge = self._memo_restrict = None
+        self._memo = None
         kind = self._kind
         end = len(kind)
         lo = self._lo
@@ -675,15 +674,15 @@ class DiagramStore:
         are at least `lone`: 2 for factors canonical at i, as one of them
         is canonical as it is; 1 for factors canonical only at a larger
         bound (convert_down).  A key maps to one vertex in either mode, so
-        both keep their keys in the operation's _memo_merge.
+        both keep their keys in the operation's table, _memo.
 
-        _memo_merge is keyed by a key's name (see _name), one int about as
+        The table holds a key under its name (see _name), one int about as
         wide as the key's own masks.  A key's triple lives from its naming
         until its frame expands it, and a frame waiting for a cofactor's
         key holds only that key's name.  A key's leading literals peel off
         in its own frame, each rest named from the name before it.
         """
-        memo = self._memo_merge
+        memo = self._memo
         root = _name(*key)
         r = memo.get(root)
         if r is not None:
@@ -896,7 +895,7 @@ class DiagramStore:
         kind = self._kind
         if minrank[u] == x and kind[u] == KIND_DECISION:
             return self._hi[u] if b else self._lo[u]
-        cache = self._memo_restrict.setdefault((x, b), {})
+        cache = self._memo.setdefault(x << 1 | b, {})
         if u in cache:
             return cache[u]
         vs = self._vs
@@ -915,23 +914,22 @@ class DiagramStore:
 
     @_operation
     def conjoin(self, u, v, i):
-        return self._apply(u, v, i, self._memo_and, FALSE, self._conjoin_split)
+        return self._apply(u, v, i, FALSE, self._conjoin_split)
 
     @_operation
     def disjoin(self, u, v, i):
-        return self._apply(u, v, i, self._memo_or, TRUE, self._disjoin_split)
+        return self._apply(u, v, i, TRUE, self._disjoin_split)
 
-    def _apply(self, u, v, i, memo, zero, split):
+    def _apply(self, u, v, i, zero, split):
         """Conjoin (zero FALSE) or disjoin (zero TRUE) on a frame stack.
 
-        zero absorbs and 1 - zero is neutral; memo, the operation's table,
-        keys a pair with the smaller id first.  split(u, v, i), for a pair
-        memo lacks, returns its result; or None to expand it on its earliest
-        variable; or a triple (a, b, then) for a pair whose result is the
-        conjunction of the result r of the pair (a, b) with the factors
-        then, which share no variable with r.  then is a tuple of canonical
-        factors, or a list of literals, which fit every bound and so join
-        r's factors as they are.
+        zero absorbs and 1 - zero is neutral; the operation's table keys a
+        pair by one int, the smaller id first and zero in its tag (see
+        __init__).  split(u, v, i), for a pair the table lacks, returns its
+        result; or None to expand it on its earliest variable; or a triple
+        (a, b, then) for a pair whose result is the conjunction of the
+        result r of the pair (a, b) with then, a tuple of canonical factors
+        that share no variable with r.
 
         Most pairs are expanded, and a frame kept in locals, pushed as a
         tuple, costs less than a generator, so the apply keeps its own
@@ -940,6 +938,8 @@ class DiagramStore:
         (lo holds the false result), 2 while the pair of a triple runs.
         """
         one = 1 - zero
+        tag = 0xFFFFFFFF - zero
+        memo = self._memo
         vs = self._vs
         kids = self._kids
         minrank = self._minrank
@@ -958,7 +958,7 @@ class DiagramStore:
             else:
                 if u > v:
                     u, v = v, u
-                pair = (u, v)
+                pair = (u << 32 | v) << 32 | tag
                 r = memo.get(pair)
                 if r is None:
                     # at bound 0, or for two overlapping decision vertices
@@ -997,14 +997,7 @@ class DiagramStore:
                 if stage == 1:
                     r = memo[key] = self._decision(x, lo, r, i)
                 elif stage == 2:
-                    if then.__class__ is tuple:
-                        r = self._conj_parts([*then, r], i)
-                    elif r != FALSE:
-                        if r != TRUE:
-                            then.extend(self._parts(r))
-                        r = (then[0] if len(then) == 1
-                             else self._intern_conj(then))
-                    memo[key] = r
+                    r = memo[key] = self._conj_parts([*then, r], i)
                 else:
                     return r
                 if stack:
@@ -1064,7 +1057,7 @@ class DiagramStore:
                     side.append(p)
                 sides.append(side)
             return (self._conj_parts(sides[0], i),
-                    self._conj_parts(sides[1], i), list(lits.values()))
+                    self._conj_parts(sides[1], i), tuple(lits.values()))
         # a factor that meets no factor of the other side passes through,
         # all of u when every factor of v is one of u's; the rest form one
         # core pair, left to Shannon expansion when nothing passes through

@@ -154,6 +154,33 @@ def test_criterion_3_succinctness_separation():
             f"bound inf first difference {sorted(diffs)}, {dt:.1f}s")
 
 
+def test_criterion_3b_succinctness_ladder():
+    # the paper's strict ladder, one rung per bound: each chain of
+    # chain_family(n, i) adds exactly 2i + 5 vertices at bound i + 1, while
+    # at bound i what each chain adds keeps nearly doubling (the sizes grow
+    # by less than 2x, so the check is on their differences)
+    t0 = time.perf_counter()
+    ok = True
+    rows = []
+    for i in range(4):
+        sizes = {i: [], i + 1: []}
+        for n in range(2, 7):
+            cnf = chain_family(n, i)
+            store = DiagramStore(natural_order(cnf.num_vars))
+            for b in sizes:
+                root = compile_cnf(cnf, b, store=store)[1]
+                _note(store, root, b)
+                sizes[b].append(store.vertex_count(root))
+        steps = {y - x for x, y in zip(sizes[i + 1], sizes[i + 1][1:])}
+        diffs = [y - x for x, y in zip(sizes[i], sizes[i][1:])]
+        growth = min(y / x for x, y in zip(diffs, diffs[1:]))
+        ok = ok and steps == {2 * i + 5} and growth >= 1.75
+        rows.append(f"rung {i}: bound {i + 1} adds {sorted(steps)}, "
+                    f"bound {i} adds {diffs} (x{growth:.2f}+)")
+    dt = time.perf_counter() - t0
+    _report("3b", ok and dt < 60, f"{'; '.join(rows)}, {dt:.1f}s")
+
+
 def test_criterion_4_size_vs_bound_trend():
     t0 = time.perf_counter()
     bounds = (0, 1, 2, 3, 4, 5)

@@ -139,7 +139,7 @@ def test_convert_down_builds_no_dead_vertices():
     assert interned <= store.vertex_count(r0)
     # the merge's keys live for the operation: the store keeps no merge
     # entry, and converting again interns nothing
-    assert not store._memo_merge
+    assert not store._memo
     before = store.num_vertices
     assert convert_down(store, r1, 0) == r0
     assert store.num_vertices == before

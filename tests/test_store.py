@@ -2,12 +2,12 @@
 
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from kcdag import FALSE, TRUE
 from kcdag.engine import (
-    _MEMO_TABLES,
     DiagramStore,
     _name,
     KIND_CONJ,
@@ -164,14 +164,12 @@ def test_clear_memo_keeps_vertices(store):
 
     # the unique tables are the store's only index; between operations every
     # other table is a computed one that clear_memo drops, as an operation's
-    # own tables end with it
-    assert all(getattr(store, name) for name in _MEMO_TABLES)
+    # own table ends with it
+    assert store._memo_count
     store.clear_memo()
     tables = {name for name, value in vars(store).items() if isinstance(value, dict)}
-    assert tables == {"rank", "_unique", "_uconj", *_MEMO_TABLES}
-    for name in _MEMO_TABLES:
-        assert getattr(store, name) == ({FALSE: 0, TRUE: 1} if name == "_memo_count"
-                                        else {}), name
+    assert tables == {"rank", "_unique", "_uconj", "_memo_count"}
+    assert store._memo_count == {FALSE: 0, TRUE: 1}
 
 
 def test_evaluate_deep_chain():
@@ -337,7 +335,7 @@ def test_an_operation_that_raises_drops_what_it_interned():
 
     with pytest.raises(InputError, match="stop"):
         store._run(build)
-    assert len(store._kind) == n0 and store._memo_and is None
+    assert len(store._kind) == n0 and store._memo is None
     w = store.conjoin(u, v, 1)
     assert set(range(n0, len(store._kind))) <= set(store.topological(w))
 
@@ -459,3 +457,45 @@ def test_ids_past_32_bits_raise(store):
     with pytest.raises(ResourceLimitError):
         store.make_conj([a, b])
     assert store.literal(1) == a  # an interned vertex is still found
+
+
+def test_orders_past_31_bits_raise():
+    # the operation's table keys the literal peel's caches by a rank and a
+    # bit, below 2**32, so a store takes no order of 2**31 variables
+    with pytest.raises(ResourceLimitError):
+        DiagramStore(SimpleNamespace(vars=range(2 ** 31), rank={}))
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_one_operation_keeps_its_key_kinds_apart(bound):
+    # conjoin's and disjoin's pairs, the merge's names and the literal
+    # peel's caches share the table of one operation: the steps give the
+    # same id inside one operation as each as an operation of its own,
+    # though conjoin meets there the very pair that disjoin left
+    for seed in range(3):
+        store = DiagramStore(natural_order(12))
+        halves = []
+        for k, unit in enumerate(([2], [-7])):
+            cnf = random_cnf(12, 10, seed=10 * seed + k)
+            cnf.add_clause(unit)  # a literal factor, so the conjoin peels it
+            halves.append(compile_cnf(cnf, bound, store=store)[1])
+        a, b = halves
+        # three 3-variable chains: factors of c_inf that bounds 1 and 2 merge
+        c_inf = compile_cnf(chain_family(3, 1), INF, store=store)[1]
+        ab = store.conjoin(store.disjoin(a, b, bound), store.conjoin(a, b, bound),
+                           bound)
+        want = store.conjoin(ab, store.convert_down(c_inf, bound), bound)
+        assert want > TRUE
+
+        def build():
+            ab = store.conjoin(store.disjoin(a, b, bound),
+                               store.conjoin(a, b, bound), bound)
+            down = store.convert_down(c_inf, bound)
+            assert down != c_inf  # the conversion merged oversized factors
+            r = store.conjoin(ab, down, bound)
+            assert all(k.__class__ is int for k in store._memo)
+            # the peel's caches are the table's only dict values
+            assert any(v.__class__ is dict for v in store._memo.values())
+            return r
+
+        assert store._run(build) == want
